@@ -1,14 +1,14 @@
 """Statistical fault-injection campaigns against a golden reference run.
 
-Each injection restarts the simulation from reset, applies one fault at its
-scheduled cycle (mid-cycle: after the combinational settle, before the edge),
-finishes the stimulus, and compares the monitored trace to the golden trace
-from the injection cycle onward. Any difference is a functional failure;
-otherwise the fault was masked. Injection times are drawn uniformly (with
-replacement) from the stimulus active window by a seeded generator, so a
-campaign is a pure function of its inputs and seed. Aggregation is written to
-be independent of execution order, which keeps multi-worker runs and reruns
-byte-identical.
+Each injection replays the stimulus from reset on the campaign's compiled
+kernel, applies one fault at its scheduled cycle (mid-cycle: after the
+combinational settle, before the edge), and compares the monitored trace to
+the golden trace from the injection cycle onward. Any difference is a
+functional failure; otherwise the fault was masked. Injection times are drawn
+uniformly (with replacement) from the stimulus active window by a seeded
+generator, so a campaign is a pure function of its inputs and seed.
+Aggregation is written to be independent of execution order, which keeps
+multi-worker runs and reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -17,15 +17,15 @@ import csv
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .clocktree import ClockTree
 from .faults import FaultKind, FaultSpec, InjectionEffect, apply_set, apply_seu
 from .netlist import Netlist
 from .seeding import derive_rng
-from .simulator import GoldenTrace, Stimulus, simulator_for
+from .simulator import GoldenTrace, SimState, Simulator, Stimulus
 
 
 class CampaignError(Exception):
@@ -70,22 +70,17 @@ class InjectionOutcome:
 
 
 @dataclass
-class CampaignTotals:
+class Tally:
+    """Injection counters of a whole campaign or of one of its targets."""
+
     injected: int = 0
     reached: int = 0
     changed: int = 0
     unchanged: int = 0
     failures: int = 0
 
-
-@dataclass
-class TargetTally:
-    target: str
-    injected: int = 0
-    reached: int = 0
-    changed: int = 0
-    unchanged: int = 0
-    failures: int = 0
+    def __add__(self, other: "Tally") -> "Tally":
+        return Tally(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
 
 
 @dataclass
@@ -104,8 +99,8 @@ class CampaignResult:
     injections_per_target: Optional[int]
     shared_time_list: Optional[bool]
     outcomes: tuple[InjectionOutcome, ...]
-    totals: CampaignTotals
-    per_target: dict[str, TargetTally]
+    totals: Tally
+    per_target: dict[str, Tally]
     per_ff: dict[str, FFTally]
     label: str = ""
 
@@ -159,7 +154,7 @@ def sample_times(cfg: CampaignConfig, window: tuple[int, int], target: Optional[
 
 
 def run_injection(
-    netlist: Netlist,
+    sim: Simulator,
     stimulus: Stimulus,
     golden: GoldenTrace,
     spec: FaultSpec,
@@ -175,45 +170,40 @@ def run_injection(
     if spec.kind is FaultKind.SET and tree is None:
         raise CampaignError("clock transient injection needs a clock tree")
 
-    sim = simulator_for(netlist)
-    state = sim.reset()
-    effect: Optional[InjectionEffect] = None
-    rows = []
-    for cycle in range(stimulus.n_cycles):
-        inputs = stimulus.input_vectors[cycle]
-        if cycle == spec.cycle:
-            mid = sim.settle(state, inputs)
-            if spec.kind is FaultKind.SET:
-                state, effect = apply_set(netlist, tree, mid, spec.target)
-            else:
-                state, effect = apply_seu(netlist, mid, spec.target)
-        state = sim.step_cycle(state, inputs)
-        rows.append(tuple(state.net_values[m] for m in stimulus.monitors))
+    effects: list[InjectionEffect] = []
 
-    observed = GoldenTrace(stimulus.monitors, tuple(rows))
+    def inject(mid: SimState) -> SimState:
+        if spec.kind is FaultKind.SET:
+            state, effect = apply_set(sim, tree, mid, spec.target)
+        else:
+            state, effect = apply_seu(sim, mid, spec.target)
+        effects.append(effect)
+        return state
+
+    observed = sim.run(stimulus, fault=(spec.cycle, inject))
     note = compare_traces(golden, observed, spec.cycle)
     classification = (
         Classification.MASKED if note is None else Classification.FUNCTIONAL_FAILURE
     )
-    return InjectionOutcome(spec, effect, classification, note)
+    return InjectionOutcome(spec, effects[0], classification, note)
 
 
 # ---------------------------------------------------------------------------
 # campaign driving
 
 # per-worker context for process pools, set once by the initializer so specs
-# are the only payload crossing process boundaries per task
+# are the only payload crossing process boundaries per task; each worker
+# compiles its own kernel from the pickled netlist
 _worker_ctx: dict = {}
 
 
 def _init_worker(netlist, stimulus, golden, tree):
-    _worker_ctx["args"] = (netlist, stimulus, golden, tree)
-    simulator_for(netlist)
+    _worker_ctx["args"] = (Simulator(netlist), stimulus, golden, tree)
 
 
 def _run_one(spec: FaultSpec) -> InjectionOutcome:
-    netlist, stimulus, golden, tree = _worker_ctx["args"]
-    return run_injection(netlist, stimulus, golden, spec, tree)
+    sim, stimulus, golden, tree = _worker_ctx["args"]
+    return run_injection(sim, stimulus, golden, spec, tree)
 
 
 def resolve_targets(
@@ -243,9 +233,10 @@ def build_specs(
     tree: Optional[ClockTree] = None,
 ) -> list[FaultSpec]:
     """Expand a campaign config into the full ordered injection list."""
+    shared = sample_times(cfg, stimulus.active_window) if cfg.shared_time_list else None
     specs = []
     for target in resolve_targets(netlist, cfg, tree):
-        times = sample_times(cfg, stimulus.active_window, target)
+        times = shared or sample_times(cfg, stimulus.active_window, target)
         specs.extend(FaultSpec(cfg.mode, target, t) for t in times)
     return specs
 
@@ -273,8 +264,19 @@ def exhaustive_specs(
     ]
 
 
+def _check_cones(netlist: Netlist, tree: ClockTree, targets: Iterable[str]) -> None:
+    ffs = set(netlist.ff_names())
+    for target in targets:
+        missing = [name for name in tree.cone(target) if name not in ffs]
+        if missing:
+            raise CampaignError(
+                f"cone of buffer '{target}' names {len(missing)} flip-flop(s) "
+                f"missing from netlist '{netlist.name}', first '{missing[0]}'"
+            )
+
+
 def run_specs(
-    netlist: Netlist,
+    sim: Simulator,
     stimulus: Stimulus,
     specs: Sequence[FaultSpec],
     tree: Optional[ClockTree] = None,
@@ -283,13 +285,22 @@ def run_specs(
     config: Optional[CampaignConfig] = None,
     label: str = "",
 ) -> CampaignResult:
-    """Run an explicit injection list and aggregate in list order."""
+    """Run an explicit injection list and aggregate in list order.
+
+    Every targeted buffer's cone is checked against the netlist before any
+    injection runs or any worker starts.
+    """
+    netlist = sim.netlist
     kinds = {s.kind for s in specs}
     if len(kinds) > 1:
         raise CampaignError("an injection list must not mix fault kinds")
     mode = kinds.pop() if kinds else (config.mode if config else FaultKind.SET)
+    # targets in first-seen spec order
+    per_target = {s.target: Tally() for s in specs}
+    if mode is FaultKind.SET and tree is not None:
+        _check_cones(netlist, tree, per_target)
     if golden is None:
-        golden, _ = simulator_for(netlist).run(stimulus)
+        golden = sim.run(stimulus)
 
     if workers > 1 and len(specs) > 1:
         with ProcessPoolExecutor(
@@ -300,30 +311,18 @@ def run_specs(
             chunk = max(1, len(specs) // (workers * 8))
             outcomes = list(pool.map(_run_one, specs, chunksize=chunk))
     else:
-        outcomes = [run_injection(netlist, stimulus, golden, s, tree) for s in specs]
+        outcomes = [run_injection(sim, stimulus, golden, s, tree) for s in specs]
 
     # aggregation depends only on the spec list order, never completion order
-    totals = CampaignTotals()
-    per_target: dict[str, TargetTally] = {}
     per_ff = {name: FFTally() for name in netlist.ff_names()}
-    target_order = []
-    for s in specs:
-        if s.target not in per_target:
-            per_target[s.target] = TargetTally(s.target)
-            target_order.append(s.target)
     for out in outcomes:
         tally = per_target[out.spec.target]
         failed = out.classification is Classification.FUNCTIONAL_FAILURE
-        totals.injected += 1
         tally.injected += 1
-        totals.reached += len(out.effect.reached)
         tally.reached += len(out.effect.reached)
-        totals.changed += len(out.effect.changed)
         tally.changed += len(out.effect.changed)
-        totals.unchanged += len(out.effect.unchanged)
         tally.unchanged += len(out.effect.unchanged)
         if failed:
-            totals.failures += 1
             tally.failures += 1
         if mode is FaultKind.SET:
             for name in out.effect.changed:
@@ -343,15 +342,15 @@ def run_specs(
         injections_per_target=config.injections_per_target if config else None,
         shared_time_list=config.shared_time_list if config else None,
         outcomes=tuple(outcomes),
-        totals=totals,
-        per_target={t: per_target[t] for t in target_order},
+        totals=sum(per_target.values(), Tally()),
+        per_target=per_target,
         per_ff=per_ff,
         label=label,
     )
 
 
 def run_campaign(
-    netlist: Netlist,
+    sim: Simulator,
     stimulus: Stimulus,
     cfg: CampaignConfig,
     tree: Optional[ClockTree] = None,
@@ -359,9 +358,9 @@ def run_campaign(
     workers: int = 1,
     label: str = "",
 ) -> CampaignResult:
-    specs = build_specs(netlist, stimulus, cfg, tree)
+    specs = build_specs(sim.netlist, stimulus, cfg, tree)
     return run_specs(
-        netlist, stimulus, specs, tree=tree, golden=golden,
+        sim, stimulus, specs, tree=tree, golden=golden,
         workers=workers, config=cfg, label=label,
     )
 
@@ -404,15 +403,7 @@ def result_to_json(result: CampaignResult) -> str:
         "config": _config_header(result),
         "totals": vars(result.totals),
         "per_target": [
-            {
-                "target": t.target,
-                "injected": t.injected,
-                "reached": t.reached,
-                "changed": t.changed,
-                "unchanged": t.unchanged,
-                "failures": t.failures,
-            }
-            for t in result.per_target.values()
+            {"target": target, **vars(t)} for target, t in result.per_target.items()
         ],
         "per_ff": {
             name: {
@@ -451,11 +442,10 @@ def result_from_json(text: str) -> CampaignResult:
     try:
         cfg = doc["config"]
         mode = FaultKind(cfg["mode"])
-        totals = CampaignTotals(**doc["totals"])
+        totals = Tally(**doc["totals"])
         per_target = {
-            t["target"]: TargetTally(
-                t["target"], t["injected"], t["reached"], t["changed"],
-                t["unchanged"], t["failures"],
+            t["target"]: Tally(
+                t["injected"], t["reached"], t["changed"], t["unchanged"], t["failures"],
             )
             for t in doc["per_target"]
         }

@@ -42,7 +42,7 @@ from .faults import FaultKind
 from .netlist import NetlistError, load_netlist
 from .report import FitLibrary, ReportError, emit, load_fit_library
 from .seeding import PRNG_NAME, derive_seed
-from .simulator import SimulationError, load_stimulus, load_trace, save_trace, simulator_for
+from .simulator import SimulationError, Simulator, load_stimulus, load_trace, save_trace
 
 
 class UsageError(Exception):
@@ -157,7 +157,7 @@ def _cmd_sim(args) -> int:
     stimulus_path = _require_file(args.stimulus, "stimulus")
     netlist = load_netlist(netlist_path)
     stimulus = load_stimulus(stimulus_path)
-    trace, _ = simulator_for(netlist).run(stimulus)
+    trace = Simulator(netlist).run(stimulus)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_trace(trace, out)
@@ -228,6 +228,7 @@ def _cmd_campaign(args) -> int:
     input_files = [netlist_path, stimulus_path] + list(tree_paths)
 
     netlist = load_netlist(netlist_path)
+    sim = Simulator(netlist)
     stimulus = load_stimulus(stimulus_path)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -238,7 +239,7 @@ def _cmd_campaign(args) -> int:
         golden = load_trace(golden_path)
         input_files.append(golden_path)
     else:
-        golden, _ = simulator_for(netlist).run(stimulus)
+        golden = sim.run(stimulus)
         golden_path = out_dir / "golden.csv"
         save_trace(golden, golden_path)
         outputs.append(golden_path)
@@ -262,12 +263,12 @@ def _cmd_campaign(args) -> int:
             tree = load_tree(path)
             label = path.stem
             results.append(run_campaign(
-                netlist, stimulus, cfg, tree=tree, golden=golden,
+                sim, stimulus, cfg, tree=tree, golden=golden,
                 workers=args.workers, label=label,
             ))
     else:
         results.append(run_campaign(
-            netlist, stimulus, cfg, golden=golden,
+            sim, stimulus, cfg, golden=golden,
             workers=args.workers, label="seu",
         ))
 

@@ -15,7 +15,7 @@ from enum import Enum
 
 from .clocktree import ClockTree
 from .netlist import Netlist
-from .simulator import SimState, simulator_for
+from .simulator import SimState, Simulator
 
 
 class FaultKind(str, Enum):
@@ -70,7 +70,7 @@ def _effective_d(ff, state: SimState) -> int:
 
 
 def apply_set(
-    netlist: Netlist,
+    sim: Simulator,
     tree: ClockTree,
     state: SimState,
     buffer_id: str,
@@ -81,6 +81,7 @@ def apply_set(
     would latch on a clock edge, evaluated against the pre-injection state.
     Requires ``state`` to be combinationally settled for the current cycle.
     """
+    netlist = sim.netlist
     _require_settled(netlist, state)
     cone = tree.cone(buffer_id)
     ff_map = netlist.ff_map()
@@ -100,7 +101,6 @@ def apply_set(
 
     ff_values = dict(state.ff_values)
     ff_values.update(new_values)
-    sim = simulator_for(netlist)
     settled = sim.settle(
         SimState(state.cycle, ff_values, {}), _extract_inputs(netlist, state)
     )
@@ -108,11 +108,12 @@ def apply_set(
 
 
 def apply_seu(
-    netlist: Netlist,
+    sim: Simulator,
     state: SimState,
     ff_name: str,
 ) -> tuple[SimState, InjectionEffect]:
     """Flip one flip-flop's stored value in a settled state."""
+    netlist = sim.netlist
     _require_settled(netlist, state)
     if ff_name not in state.ff_values:
         raise UnknownFlipFlopError(
@@ -120,44 +121,9 @@ def apply_seu(
         )
     ff_values = dict(state.ff_values)
     ff_values[ff_name] = ff_values[ff_name] ^ 1
-    sim = simulator_for(netlist)
     settled = sim.settle(
         SimState(state.cycle, ff_values, {}), _extract_inputs(netlist, state)
     )
     effect = InjectionEffect(reached=(ff_name,), changed=(ff_name,), unchanged=())
     return settled, effect
 
-
-def explicit_pulse_oracle(
-    netlist: Netlist,
-    tree: ClockTree,
-    state: SimState,
-    buffer_id: str,
-) -> SimState:
-    """Reference semantics for a clock transient: one extra explicit edge.
-
-    Delivers a spurious clock pulse to exactly the flip-flops in the buffer's
-    cone. Each of them performs a full latch (enable ? D : Q) simultaneously,
-    whether or not that changes anything; everything else is left alone. Kept
-    as an independent formulation of the same physics so the optimized
-    injection above can be checked against it.
-    """
-    _require_settled(netlist, state)
-    cone = set(tree.cone(buffer_id))
-    ff_map = netlist.ff_map()
-    unknown = sorted(cone - set(ff_map))
-    if unknown:
-        raise UnknownFlipFlopError(
-            f"cone of '{buffer_id}' names flip-flops not in netlist "
-            f"'{netlist.name}': {', '.join(unknown)}"
-        )
-    pulsed = {}
-    for name, ff in ff_map.items():
-        if name in cone:
-            pulsed[name] = _effective_d(ff, state)
-        else:
-            pulsed[name] = state.ff_values[name]
-    sim = simulator_for(netlist)
-    return sim.settle(
-        SimState(state.cycle, pulsed, {}), _extract_inputs(netlist, state)
-    )

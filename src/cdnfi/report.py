@@ -155,7 +155,10 @@ class FitLibrary:
             if len(row) != 2:
                 raise ReportError(f"FIT library row {row!r} is not 'cell_class,fit'")
             name, value = row[0].strip(), row[1].strip()
-            fit = as_fraction(value)
+            try:
+                fit = as_fraction(value)
+            except (ValueError, ZeroDivisionError):
+                raise ReportError(f"FIT library row {row!r} has a non-numeric FIT value") from None
             if fit < 0:
                 raise ReportError(f"FIT for '{name}' must be >= 0, got {value}")
             table[name] = fit
@@ -293,9 +296,9 @@ def emit(
     # per-target de-rating
     rows = []
     for label, r in zip(labels, results):
-        for t in r.per_target.values():
+        for target, t in r.per_target.items():
             rows.append([
-                label, t.target, t.injected, t.reached, t.changed,
+                label, target, t.injected, t.reached, t.changed,
                 t.unchanged, t.failures,
                 render_rate(Fraction(t.failures, t.injected) if t.injected else 0),
             ])
@@ -334,14 +337,15 @@ def emit(
     # failure spread across campaigns
     if len(results) >= 2:
         failures = [r.totals.failures for r in results]
+        failures_mean = render_rate(Fraction(sum(failures), len(failures)))
+        failures_stddev = render_rate(statistics.stdev(failures))
         fdrs = [_result_fdr(r) for r in results]
         mean_fdr = sum(fdrs, Fraction(0)) / len(fdrs)
         rows = [
-            ["failures_mean", render_rate(Fraction(sum(failures), len(failures)))],
+            ["failures_mean", failures_mean],
             ["failures_min", str(min(failures))],
             ["failures_max", str(max(failures))],
-            ["failures_stddev_sample", render_rate(statistics.stdev(failures))
-             if len(failures) > 1 else "0.0000"],
+            ["failures_stddev_sample", failures_stddev],
             ["failures_stddev_population", render_rate(statistics.pstdev(failures))],
             ["fdr_mean", render_rate(mean_fdr)],
             ["fdr_min", render_rate(min(fdrs))],
@@ -388,13 +392,11 @@ def emit(
             f" fdr={render_rate(_result_fdr(r))}"
         )
     if len(results) >= 2:
-        failures = [r.totals.failures for r in results]
         lines.append("")
         lines.append(
             "failures across campaigns:"
-            f" mean={render_rate(Fraction(sum(failures), len(failures)))}"
-            f" min={min(failures)} max={max(failures)}"
-            f" stddev_sample={render_rate(statistics.stdev(failures)) if len(failures) > 1 else '0.0000'}"
+            f" mean={failures_mean} min={min(failures)} max={max(failures)}"
+            f" stddev_sample={failures_stddev}"
         )
     summary = out_dir / "summary.txt"
     summary.write_text("\n".join(lines) + "\n", encoding="utf-8")

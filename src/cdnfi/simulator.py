@@ -3,8 +3,10 @@
 Each cycle applies that cycle's input vector, settles the combinational
 logic, fires the clock edge (every flip-flop simultaneously takes
 ``enable ? D : Q``), then settles again so monitored outputs are sampled
-after the edge. State is held in plain value objects so a simulation can be
-forked cheaply for fault injection.
+after the edge. ``Simulator.run`` is the one cycle loop: the golden run
+calls it plain, and a fault injection passes a mid-cycle hook that sees the
+settled state of one cycle and returns the state its clock edge latches
+from.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import weakref
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .netlist import Netlist, NetlistError, levelize, validate
 
@@ -106,8 +107,8 @@ class Simulator:
                 + "; ".join(str(v) for v in violations)
             )
         self.netlist = netlist
-        self._net_ids = {net: i for i, net in enumerate(sorted(netlist.nets))}
         self._net_names = sorted(netlist.nets)
+        self._net_ids = {net: i for i, net in enumerate(self._net_names)}
         gate_by_id = {g.id: g for g in netlist.gates}
         plan = []
         for gid in levelize(netlist):
@@ -177,7 +178,7 @@ class Simulator:
                 v[out] = 1
 
     def _net_dict(self, v: list[int]) -> dict[str, int]:
-        return {name: v[self._net_ids[name]] for name in self._net_names}
+        return dict(zip(self._net_names, v))
 
     def _latch(self, v: list[int]) -> dict[str, int]:
         new_ff = {}
@@ -209,63 +210,31 @@ class Simulator:
     def run(
         self,
         stimulus: Stimulus,
-        initial: Optional[SimState] = None,
-        keep_states: bool = False,
-    ) -> tuple[GoldenTrace, Optional[list[SimState]]]:
-        """Simulate the whole stimulus, sampling monitors after every edge."""
+        fault: Optional[tuple[int, Callable[[SimState], SimState]]] = None,
+    ) -> GoldenTrace:
+        """Simulate the whole stimulus from reset, sampling monitors after every edge.
+
+        ``fault`` is ``(cycle, apply)``: at that cycle, after the mid-cycle
+        settle, ``apply`` gets the settled state and returns the settled state
+        the clock edge latches from.
+        """
         validate_stimulus(self.netlist, stimulus)
         mon_ids = [self._net_ids[m] for m in stimulus.monitors]
-        state = initial if initial is not None else self.reset()
-        if state.cycle != 0:
-            raise SimulationError("run starts at cycle 0; got a state at cycle %d" % state.cycle)
-        ff = dict(state.ff_values)
+        fault_cycle, apply = fault if fault is not None else (-1, None)
+        ff = self.reset().ff_values
         rows = []
-        states = [] if keep_states else None
         for cycle in range(stimulus.n_cycles):
-            inputs = stimulus.input_vectors[cycle]
-            v = self._values(ff, inputs)
+            v = self._values(ff, stimulus.input_vectors[cycle])
             self._settle(v)
+            if cycle == fault_cycle:
+                nets = apply(SimState(cycle, ff, self._net_dict(v))).net_values
+                v = [nets[name] for name in self._net_names]
             ff = self._latch(v)
             for name, q, _, _, _ in self._ffs:
                 v[q] = ff[name]
             self._settle(v)
             rows.append(tuple(v[m] for m in mon_ids))
-            if keep_states:
-                states.append(SimState(cycle + 1, dict(ff), self._net_dict(v)))
-        return GoldenTrace(stimulus.monitors, tuple(rows)), states
-
-
-# one kernel per netlist value; two equal netlists share a kernel
-_kernels: "weakref.WeakKeyDictionary[Netlist, Simulator]" = weakref.WeakKeyDictionary()
-
-
-def simulator_for(netlist: Netlist) -> Simulator:
-    sim = _kernels.get(netlist)
-    if sim is None:
-        sim = Simulator(netlist)
-        _kernels[netlist] = sim
-    return sim
-
-
-def reset(netlist: Netlist) -> SimState:
-    return simulator_for(netlist).reset()
-
-
-def settle(netlist: Netlist, state: SimState, inputs: Mapping[str, int]) -> SimState:
-    return simulator_for(netlist).settle(state, inputs)
-
-
-def step_cycle(netlist: Netlist, state: SimState, inputs: Mapping[str, int]) -> SimState:
-    return simulator_for(netlist).step_cycle(state, inputs)
-
-
-def run(
-    netlist: Netlist,
-    stimulus: Stimulus,
-    initial: Optional[SimState] = None,
-    keep_states: bool = False,
-) -> tuple[GoldenTrace, Optional[list[SimState]]]:
-    return simulator_for(netlist).run(stimulus, initial, keep_states)
+        return GoldenTrace(stimulus.monitors, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,12 @@ from cdnfi.campaign import (
 )
 from cdnfi.cli import main as cli_main
 from cdnfi.clocktree import ByName, RandomShuffle, generate_tree, tree_stats
-from cdnfi.faults import (
-    FaultKind,
-    apply_set,
-    explicit_pulse_oracle,
-)
+from cdnfi.faults import FaultKind, apply_set
 from cdnfi.netlist import FlipFlop, Netlist
 from cdnfi.report import as_fraction, combine_fit, fdr, overlap
-from cdnfi.simulator import SimState, Stimulus, simulator_for
+from cdnfi.simulator import SimState, Simulator, Stimulus
 from gencircuit import random_netlist
+from oracles import explicit_pulse_oracle
 
 
 @contextmanager
@@ -66,7 +63,7 @@ def test_criterion_02_reached_arithmetic(lfsr, lfsr_stimulus, lfsr_golden):
         # a real full-network campaign obeys the formula exactly
         tree = generate_tree(lfsr.ff_names(), 2)
         cfg = CampaignConfig(FaultKind.SET, 170, seed=3)
-        result = run_campaign(lfsr, lfsr_stimulus, cfg, tree=tree, golden=lfsr_golden)
+        result = run_campaign(Simulator(lfsr), lfsr_stimulus, cfg, tree=tree, golden=lfsr_golden)
         n_ffs = len(lfsr.ff_names())
         assert result.totals.reached == 170 * tree.stages * n_ffs
         assert result.totals.injected == 170 * len(tree.buffer_ids())
@@ -87,12 +84,12 @@ def test_criterion_03_accounting_identity(lfsr, lfsr_stimulus, lfsr_golden):
             rng = random.Random(seed)
             netlist = random_netlist(rng)
             tree = generate_tree(netlist.ff_names(), 1, RandomShuffle(seed))
-            sim = simulator_for(netlist)
+            sim = Simulator(netlist)
             for _ in range(2):
                 inputs = {p: rng.randint(0, 1) for p in netlist.inputs}
                 state = sim.settle(sim.reset(), inputs)
                 for buffer_id in tree.buffer_ids():
-                    _, effect = apply_set(netlist, tree, state, buffer_id)
+                    _, effect = apply_set(sim, tree, state, buffer_id)
                     assert len(effect.reached) == len(effect.changed) + len(effect.unchanged)
                     assert set(effect.reached) == set(effect.changed) | set(effect.unchanged)
                     assert not set(effect.changed) & set(effect.unchanged)
@@ -102,7 +99,7 @@ def test_criterion_03_accounting_identity(lfsr, lfsr_stimulus, lfsr_golden):
         # the identity also holds for whole-campaign totals and every record
         tree = generate_tree(lfsr.ff_names(), 3, RandomShuffle(17))
         cfg = CampaignConfig(FaultKind.SET, 5, seed=29)
-        result = run_campaign(lfsr, lfsr_stimulus, cfg, tree=tree, golden=lfsr_golden)
+        result = run_campaign(Simulator(lfsr), lfsr_stimulus, cfg, tree=tree, golden=lfsr_golden)
         assert result.totals.reached == result.totals.changed + result.totals.unchanged
         for out in result.outcomes:
             assert len(out.effect.reached) == len(out.effect.changed) + len(out.effect.unchanged)
@@ -120,15 +117,15 @@ def test_criterion_04_oracle_equivalence(crc8, crc8_stimulus, lfsr, lfsr_stimulu
                 generate_tree(netlist.ff_names(), fanout, ByName()),
                 generate_tree(netlist.ff_names(), fanout, RandomShuffle(1)),
             ]
-            sim = simulator_for(netlist)
+            sim = Simulator(netlist)
             state = sim.reset()
             for cycle in range(stimulus.n_cycles):
                 inputs = stimulus.input_vectors[cycle]
                 mid = sim.settle(state, inputs)
                 for tree in trees:
                     for buffer_id in tree.buffer_ids():
-                        fast, _ = apply_set(netlist, tree, mid, buffer_id)
-                        slow = explicit_pulse_oracle(netlist, tree, mid, buffer_id)
+                        fast, _ = apply_set(sim, tree, mid, buffer_id)
+                        slow = explicit_pulse_oracle(sim, tree, mid, buffer_id)
                         assert fast == slow, (netlist.name, buffer_id, cycle)
                         compared += 1
                 state = sim.step_cycle(state, inputs)
@@ -145,7 +142,7 @@ def test_criterion_05_cross_network_conservation(crc8, crc8_stimulus, crc8_golde
             tree = generate_tree(crc8.ff_names(), 4, RandomShuffle(1000 + i))
             cfg = CampaignConfig(FaultKind.SET, 6, seed=55, shared_time_list=True)
             results.append(
-                run_campaign(crc8, crc8_stimulus, cfg, tree=tree, golden=crc8_golden)
+                run_campaign(Simulator(crc8), crc8_stimulus, cfg, tree=tree, golden=crc8_golden)
             )
         elapsed = time.perf_counter() - t0
         assert len({r.totals.changed for r in results}) == 1
@@ -218,7 +215,7 @@ def test_criterion_09_exhaustive_upsets_match_enumeration(crc8, crc8_stimulus, c
     with criterion(9, "exhaustive upset campaign equals brute-force enumeration; de-rating bounded"):
         # brute-force enumeration, written against the bare simulator: flip
         # the stored value by hand mid-cycle and diff the monitor rows
-        sim = simulator_for(crc8)
+        sim = Simulator(crc8)
         first, last = crc8_stimulus.active_window
         oracle_failures = set()
         for ff in crc8.ff_names():
@@ -239,7 +236,7 @@ def test_criterion_09_exhaustive_upsets_match_enumeration(crc8, crc8_stimulus, c
                     oracle_failures.add((ff, inject_cycle))
 
         specs = exhaustive_specs(crc8, crc8_stimulus, FaultKind.SEU)
-        result = run_specs(crc8, crc8_stimulus, specs, golden=crc8_golden)
+        result = run_specs(Simulator(crc8), crc8_stimulus, specs, golden=crc8_golden)
         campaign_failures = {
             (out.spec.target, out.spec.cycle)
             for out in result.outcomes
@@ -261,7 +258,7 @@ def test_criterion_09_exhaustive_upsets_match_enumeration(crc8, crc8_stimulus, c
         bank_stim = Stimulus(6, tuple({} for _ in range(6)), (0, 5), ("r0_q",))
         bank_tree = generate_tree(bank.ff_names(), 2)
         bank_cfg = CampaignConfig(FaultKind.SET, 4, seed=1)
-        bank_result = run_campaign(bank, bank_stim, bank_cfg, tree=bank_tree)
+        bank_result = run_campaign(Simulator(bank), bank_stim, bank_cfg, tree=bank_tree)
         assert all(out.effect.changed == () for out in bank_result.outcomes)
         assert bank_result.totals.failures == 0
         assert fdr(bank_result.totals.failures, bank_result.totals.injected) == 0

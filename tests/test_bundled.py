@@ -13,7 +13,7 @@ from cdnfi.campaign import Classification, run_injection
 from cdnfi.faults import FaultKind, FaultSpec
 from cdnfi.netlist import validate
 from cdnfi.report import load_fit_library
-from cdnfi.simulator import simulator_for
+from cdnfi.simulator import Simulator
 from fractions import Fraction
 
 
@@ -88,7 +88,7 @@ def test_golden_reproduces_exactly(name):
     n = load_circuit(name)
     st = load_circuit_stimulus(name)
     golden = load_circuit_golden(name)
-    trace, _ = simulator_for(n).run(st)
+    trace = Simulator(n).run(st)
     assert trace == golden
 
 
@@ -117,7 +117,7 @@ def test_deadend_probe_upsets_are_masked(lfsr, lfsr_stimulus, lfsr_golden):
     first, last = lfsr_stimulus.active_window
     for cycle in (first, (first + last) // 2, last):
         out = run_injection(
-            lfsr, lfsr_stimulus, lfsr_golden,
+            Simulator(lfsr), lfsr_stimulus, lfsr_golden,
             FaultSpec(FaultKind.SEU, "probe.tap", cycle),
         )
         assert out.classification is Classification.MASKED
@@ -126,7 +126,7 @@ def test_deadend_probe_upsets_are_masked(lfsr, lfsr_stimulus, lfsr_golden):
 def test_lfsr_upsets_do_fail_somewhere(lfsr, lfsr_stimulus, lfsr_golden):
     first, _ = lfsr_stimulus.active_window
     out = run_injection(
-        lfsr, lfsr_stimulus, lfsr_golden, FaultSpec(FaultKind.SEU, "lfsr.7", first)
+        Simulator(lfsr), lfsr_stimulus, lfsr_golden, FaultSpec(FaultKind.SEU, "lfsr.7", first)
     )
     assert out.classification is Classification.FUNCTIONAL_FAILURE
 

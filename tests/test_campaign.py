@@ -1,5 +1,10 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from cdnfi import campaign
 from cdnfi.campaign import (
     CampaignConfig,
     CampaignError,
@@ -20,7 +25,9 @@ from cdnfi.campaign import (
 from cdnfi.clocktree import ByName, RandomShuffle, generate_tree
 from cdnfi.faults import FaultKind, FaultSpec
 from cdnfi.netlist import FlipFlop, Gate, Netlist
-from cdnfi.simulator import GoldenTrace, Stimulus, simulator_for
+from cdnfi.simulator import GoldenTrace, Simulator, Stimulus
+from gencircuit import random_netlist, random_stimulus
+from oracles import replay_injection
 from test_netlist import toggle
 
 
@@ -34,7 +41,7 @@ def autonomous_stimulus(netlist, n_cycles, window=None):
 
 
 def golden_for(netlist, stimulus):
-    trace, _ = simulator_for(netlist).run(stimulus)
+    trace = Simulator(netlist).run(stimulus)
     return trace
 
 
@@ -137,7 +144,7 @@ def test_toggle_upset_fails_from_injection_cycle():
     st = autonomous_stimulus(n, 4)
     golden = golden_for(n, st)
     assert golden.rows == ((1,), (0,), (1,), (0,))
-    out = run_injection(n, st, golden, FaultSpec(FaultKind.SEU, "t", 2))
+    out = run_injection(Simulator(n), st, golden, FaultSpec(FaultKind.SEU, "t", 2))
     assert out.classification is Classification.FUNCTIONAL_FAILURE
     assert "monitor 'q'" in out.note and "cycle 2" in out.note
     assert out.effect.changed == ("t",)
@@ -147,7 +154,7 @@ def test_deadend_upset_is_masked():
     n = deadend()
     st = Stimulus(4, tuple({"x": c % 2} for c in range(4)), (0, 3), ("y",))
     golden = golden_for(n, st)
-    out = run_injection(n, st, golden, FaultSpec(FaultKind.SEU, "dead", 1))
+    out = run_injection(Simulator(n), st, golden, FaultSpec(FaultKind.SEU, "dead", 1))
     assert out.classification is Classification.MASKED
     assert out.note is None
     assert out.effect.changed == ("dead",)
@@ -158,7 +165,7 @@ def test_recirculating_transient_is_structurally_masked():
     tree = generate_tree(n.ff_names(), 2)
     st = autonomous_stimulus(n, 3)
     golden = golden_for(n, st)
-    out = run_injection(n, st, golden, FaultSpec(FaultKind.SET, "b", 1), tree)
+    out = run_injection(Simulator(n), st, golden, FaultSpec(FaultKind.SET, "b", 1), tree)
     assert out.effect.changed == ()
     assert len(out.effect.unchanged) == 4
     assert out.classification is Classification.MASKED
@@ -168,7 +175,7 @@ def test_toggle_transient_fails():
     n = toggle()
     tree = generate_tree(n.ff_names(), 1)
     st = autonomous_stimulus(n, 4)
-    out = run_injection(n, st, golden_for(n, st), FaultSpec(FaultKind.SET, "b", 1), tree)
+    out = run_injection(Simulator(n), st, golden_for(n, st), FaultSpec(FaultKind.SET, "b", 1), tree)
     assert out.classification is Classification.FUNCTIONAL_FAILURE
 
 
@@ -177,12 +184,34 @@ def test_injection_validations():
     st = autonomous_stimulus(n, 4)
     golden = golden_for(n, st)
     with pytest.raises(CampaignError, match="cycle 9"):
-        run_injection(n, st, golden, FaultSpec(FaultKind.SEU, "t", 9))
+        run_injection(Simulator(n), st, golden, FaultSpec(FaultKind.SEU, "t", 9))
     with pytest.raises(CampaignError, match="clock tree"):
-        run_injection(n, st, golden, FaultSpec(FaultKind.SET, "b", 1), tree=None)
+        run_injection(Simulator(n), st, golden, FaultSpec(FaultKind.SET, "b", 1), tree=None)
     short = GoldenTrace(st.monitors, golden.rows[:2])
     with pytest.raises(CampaignError, match="golden"):
-        run_injection(n, st, short, FaultSpec(FaultKind.SEU, "t", 1))
+        run_injection(Simulator(n), st, short, FaultSpec(FaultKind.SEU, "t", 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=hst.integers(min_value=0, max_value=10_000), kind=hst.sampled_from(list(FaultKind)))
+def test_run_injection_matches_full_replay(seed, kind):
+    # the one cycle loop with a mid-cycle fault hook against the reference
+    # reset/settle/fault/step_cycle replay, on random circuits and specs
+    rng = random.Random(seed)
+    n = random_netlist(rng)
+    st = random_stimulus(rng, n)
+    sim = Simulator(n)
+    golden = sim.run(st)
+    tree = generate_tree(n.ff_names(), rng.randint(1, 3), RandomShuffle(seed))
+    targets = tree.buffer_ids() if kind is FaultKind.SET else n.ff_names()
+    for _ in range(4):
+        spec = FaultSpec(kind, rng.choice(targets), rng.randrange(st.n_cycles))
+        fast = run_injection(sim, st, golden, spec, tree)
+        reference = replay_injection(sim, st, golden, spec, tree)
+        assert fast.classification == reference.classification
+        assert fast.note == reference.note
+        assert fast.effect == reference.effect
+        assert fast == reference
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +220,7 @@ def test_injection_validations():
 
 def test_upset_campaign_totals(lfsr, lfsr_stimulus, lfsr_golden):
     cfg = CampaignConfig(FaultKind.SEU, 5, seed=11)
-    result = run_campaign(lfsr, lfsr_stimulus, cfg, golden=lfsr_golden, label="u")
+    result = run_campaign(Simulator(lfsr), lfsr_stimulus, cfg, golden=lfsr_golden, label="u")
     n_ffs = len(lfsr.ff_names())
     assert result.totals.injected == n_ffs * 5
     # an upset reaches and changes exactly the struck flip-flop
@@ -211,7 +240,7 @@ def test_upset_campaign_totals(lfsr, lfsr_stimulus, lfsr_golden):
 def test_transient_campaign_totals(lfsr, lfsr_stimulus, lfsr_golden):
     tree = generate_tree(lfsr.ff_names(), 3)
     cfg = CampaignConfig(FaultKind.SET, 4, seed=5)
-    result = run_campaign(lfsr, lfsr_stimulus, cfg, tree=tree, golden=lfsr_golden)
+    result = run_campaign(Simulator(lfsr), lfsr_stimulus, cfg, tree=tree, golden=lfsr_golden)
     n_ffs = len(lfsr.ff_names())
     stages = tree.stages
     assert result.totals.injected == len(tree.buffer_ids()) * 4
@@ -233,7 +262,7 @@ def test_changed_totals_conserved_across_groupings(lfsr, lfsr_stimulus, lfsr_gol
         tree = generate_tree(lfsr.ff_names(), 3, grouping)
         cfg = CampaignConfig(FaultKind.SET, 6, seed=21, shared_time_list=True)
         results.append(
-            run_campaign(lfsr, lfsr_stimulus, cfg, tree=tree, golden=lfsr_golden)
+            run_campaign(Simulator(lfsr), lfsr_stimulus, cfg, tree=tree, golden=lfsr_golden)
         )
     assert len({r.totals.changed for r in results}) == 1
     assert len({r.totals.unchanged for r in results}) == 1
@@ -242,8 +271,8 @@ def test_changed_totals_conserved_across_groupings(lfsr, lfsr_stimulus, lfsr_gol
 
 def test_worker_count_does_not_change_the_result(lfsr, lfsr_stimulus, lfsr_golden):
     cfg = CampaignConfig(FaultKind.SEU, 2, seed=77)
-    serial = run_campaign(lfsr, lfsr_stimulus, cfg, golden=lfsr_golden)
-    parallel = run_campaign(lfsr, lfsr_stimulus, cfg, golden=lfsr_golden, workers=2)
+    serial = run_campaign(Simulator(lfsr), lfsr_stimulus, cfg, golden=lfsr_golden)
+    parallel = run_campaign(Simulator(lfsr), lfsr_stimulus, cfg, golden=lfsr_golden, workers=2)
     assert serial == parallel
     assert result_to_json(serial) == result_to_json(parallel)
     assert log_to_csv(serial) == log_to_csv(parallel)
@@ -251,14 +280,14 @@ def test_worker_count_does_not_change_the_result(lfsr, lfsr_stimulus, lfsr_golde
 
 def test_campaign_is_deterministic(lfsr, lfsr_stimulus, lfsr_golden):
     cfg = CampaignConfig(FaultKind.SEU, 3, seed=13)
-    a = run_campaign(lfsr, lfsr_stimulus, cfg, golden=lfsr_golden)
-    b = run_campaign(lfsr, lfsr_stimulus, cfg, golden=lfsr_golden)
+    a = run_campaign(Simulator(lfsr), lfsr_stimulus, cfg, golden=lfsr_golden)
+    b = run_campaign(Simulator(lfsr), lfsr_stimulus, cfg, golden=lfsr_golden)
     assert result_to_json(a) == result_to_json(b)
 
 
 def test_explicit_targets_subset(lfsr, lfsr_stimulus, lfsr_golden):
     cfg = CampaignConfig(FaultKind.SEU, 2, seed=1, targets=("probe.tap", "lfsr.0"))
-    result = run_campaign(lfsr, lfsr_stimulus, cfg, golden=lfsr_golden)
+    result = run_campaign(Simulator(lfsr), lfsr_stimulus, cfg, golden=lfsr_golden)
     assert list(result.per_target) == ["probe.tap", "lfsr.0"]
     assert result.totals.injected == 4
     # untargeted flip-flops still appear in the per-ff table, at zero
@@ -283,7 +312,24 @@ def test_mixed_kind_spec_list_rejected(lfsr, lfsr_stimulus):
         FaultSpec(FaultKind.SET, "b", 5),
     ]
     with pytest.raises(CampaignError, match="mix"):
-        run_specs(lfsr, lfsr_stimulus, specs)
+        run_specs(Simulator(lfsr), lfsr_stimulus, specs)
+
+
+def test_run_specs_rejects_cone_outside_netlist(lfsr, lfsr_stimulus, lfsr_golden, monkeypatch):
+    foreign = generate_tree([f"x{i}" for i in range(4)], 2)
+    specs = [FaultSpec(FaultKind.SET, b, 5) for b in foreign.buffer_ids()]
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the cone check must come before any injection or pool")
+
+    monkeypatch.setattr(campaign, "run_injection", must_not_run)
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor", must_not_run)
+    for workers in (1, 2):
+        with pytest.raises(CampaignError, match="cone of buffer 'b'.*'lfsr_counter'.*'x0'"):
+            run_specs(
+                Simulator(lfsr), lfsr_stimulus, specs, tree=foreign,
+                golden=lfsr_golden, workers=workers,
+            )
 
 
 def test_build_specs_orders_targets_then_times(lfsr, lfsr_stimulus):
@@ -305,8 +351,8 @@ def test_exhaustive_specs_cover_the_window(lfsr, lfsr_stimulus):
 
 def test_run_specs_computes_golden_when_missing(lfsr, lfsr_stimulus, lfsr_golden):
     specs = [FaultSpec(FaultKind.SEU, "lfsr.3", 9)]
-    auto = run_specs(lfsr, lfsr_stimulus, specs)
-    explicit = run_specs(lfsr, lfsr_stimulus, specs, golden=lfsr_golden)
+    auto = run_specs(Simulator(lfsr), lfsr_stimulus, specs)
+    explicit = run_specs(Simulator(lfsr), lfsr_stimulus, specs, golden=lfsr_golden)
     assert auto == explicit
 
 
@@ -316,7 +362,7 @@ def test_run_specs_computes_golden_when_missing(lfsr, lfsr_stimulus, lfsr_golden
 
 def test_csv_log_layout(lfsr, lfsr_stimulus, lfsr_golden):
     cfg = CampaignConfig(FaultKind.SEU, 2, seed=4, targets=("hold.a",))
-    result = run_campaign(lfsr, lfsr_stimulus, cfg, golden=lfsr_golden, label="demo")
+    result = run_campaign(Simulator(lfsr), lfsr_stimulus, cfg, golden=lfsr_golden, label="demo")
     text = log_to_csv(result)
     lines = text.splitlines()
     assert lines[0].startswith("# {")
@@ -342,7 +388,7 @@ def test_result_from_json_rejects_non_result_documents():
 def test_json_round_trip(lfsr, lfsr_stimulus, lfsr_golden):
     tree = generate_tree(lfsr.ff_names(), 3, RandomShuffle(8))
     cfg = CampaignConfig(FaultKind.SET, 3, seed=6, shared_time_list=False)
-    result = run_campaign(lfsr, lfsr_stimulus, cfg, tree=tree, golden=lfsr_golden, label="rt")
+    result = run_campaign(Simulator(lfsr), lfsr_stimulus, cfg, tree=tree, golden=lfsr_golden, label="rt")
     back = result_from_json(result_to_json(result))
     assert back.netlist_name == result.netlist_name
     assert back.mode == result.mode

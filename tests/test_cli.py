@@ -15,7 +15,7 @@ import cdnfi
 from cdnfi import __version__
 from cdnfi.bundled import circuit_path, fit_library_path, golden_path, stimulus_path
 from cdnfi.cli import main
-from cdnfi.clocktree import load_tree, tree_stats
+from cdnfi.clocktree import generate_tree, load_tree, save_tree, tree_stats
 from cdnfi.netlist import FlipFlop, Netlist, save_netlist
 from test_netlist import TOGGLE_DOC
 
@@ -280,6 +280,39 @@ def test_report_rejects_bad_top_fraction(tmp_path):
         "report", "whatever.json", "--top-fraction", "1.5",
         "--out-dir", str(tmp_path),
     ]) == 2
+
+
+def test_campaign_rejects_non_numeric_fit_value(tmp_path, capsys):
+    library = tmp_path / "fit.csv"
+    library.write_text("cell_class,fit\nclock_buffer,59.17\nflipflop,abc\n")
+    rc = main([
+        "campaign", str(circuit_path("lfsr_counter")),
+        str(stimulus_path("lfsr_counter")),
+        "--mode", "seu", "--injections-per-target", "1",
+        "--fit-library", str(library), "--out-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "'flipflop', 'abc'" in err[0]
+
+
+def test_campaign_rejects_tree_naming_unknown_flipflops(tmp_path, capsys):
+    tree_path = tmp_path / "foreign.json"
+    save_tree(generate_tree([f"x{i}" for i in range(4)], 2), tree_path)
+    out_dir = tmp_path / "out"
+    rc = main([
+        "campaign", str(circuit_path("lfsr_counter")),
+        str(stimulus_path("lfsr_counter")),
+        "--golden", str(golden_path("lfsr_counter")),
+        "--mode", "set", "--tree", str(tree_path),
+        "--out-dir", str(out_dir),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "'x0'" in err[0]
+    assert not (out_dir / "log_foreign.csv").exists()
 
 
 REPO = Path(__file__).resolve().parent.parent

@@ -5,8 +5,8 @@ import pytest
 from cdnfi.campaign import (
     CampaignConfig,
     CampaignResult,
-    CampaignTotals,
     FFTally,
+    Tally,
     run_campaign,
 )
 from cdnfi.faults import FaultKind
@@ -21,6 +21,7 @@ from cdnfi.report import (
     rank_ffs,
     render_rate,
 )
+from cdnfi.simulator import Simulator
 
 
 def fake_result(per_ff, mode=FaultKind.SEU, label="", totals=None, per_target=None):
@@ -31,7 +32,7 @@ def fake_result(per_ff, mode=FaultKind.SEU, label="", totals=None, per_target=No
         injections_per_target=1,
         shared_time_list=True,
         outcomes=(),
-        totals=totals or CampaignTotals(),
+        totals=totals or Tally(),
         per_target=per_target or {},
         per_ff=per_ff,
         label=label,
@@ -218,12 +219,12 @@ def test_fit_library_parsing():
 @pytest.fixture()
 def two_campaigns(lfsr, lfsr_stimulus, lfsr_golden):
     a = run_campaign(
-        lfsr, lfsr_stimulus,
+        Simulator(lfsr), lfsr_stimulus,
         CampaignConfig(FaultKind.SEU, 4, seed=100),
         golden=lfsr_golden, label="seu_a",
     )
     b = run_campaign(
-        lfsr, lfsr_stimulus,
+        Simulator(lfsr), lfsr_stimulus,
         CampaignConfig(FaultKind.SEU, 4, seed=200),
         golden=lfsr_golden, label="seu_b",
     )

@@ -14,7 +14,6 @@ from cdnfi.simulator import (
     StimulusError,
     parse_stimulus,
     serialize_stimulus,
-    simulator_for,
     validate_stimulus,
 )
 from gencircuit import random_netlist, random_stimulus
@@ -39,7 +38,7 @@ def test_reset_holds_init_values():
 
 
 def test_toggle_trace_post_edge():
-    trace, _ = simulator_for(toggle()).run(autonomous_stimulus(toggle(), 4))
+    trace = Simulator(toggle()).run(autonomous_stimulus(toggle(), 4))
     assert trace.rows == ((1,), (0,), (1,), (0,))
 
 
@@ -74,7 +73,7 @@ def test_pass_through_tracks_inputs():
     n = Netlist.build("wire", ["a"], ["y"], [Gate("g", "BUF", ("a",), "y")], [])
     vectors = tuple({"a": bit} for bit in (0, 1, 1, 0))
     st_ = Stimulus(4, vectors, (0, 3), ("y",))
-    trace, _ = Simulator(n).run(st_)
+    trace = Simulator(n).run(st_)
     assert trace.rows == ((0,), (1,), (1,), (0,))
 
 
@@ -131,7 +130,7 @@ def test_monitor_must_be_output():
     n = toggle()
     bad = Stimulus(2, ({}, {}), (0, 1), ("d",))
     with pytest.raises(StimulusError, match="outputs.*: d"):
-        simulator_for(n).run(bad)
+        Simulator(n).run(bad)
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,8 +139,8 @@ def test_run_is_deterministic(seed):
     rng = random.Random(seed)
     n = random_netlist(rng)
     st_ = random_stimulus(rng, n)
-    a, _ = simulator_for(n).run(st_)
-    b, _ = simulator_for(n).run(st_)
+    a = Simulator(n).run(st_)
+    b = Simulator(n).run(st_)
     assert a == b
 
 
@@ -155,8 +154,8 @@ def test_ff_document_order_is_irrelevant(seed):
         n.name, n.inputs, n.outputs, n.gates,
         tuple(sorted(n.flipflops, key=lambda f: f.name, reverse=True)),
     )
-    a, _ = simulator_for(n).run(st_)
-    b, _ = simulator_for(shuffled).run(st_)
+    a = Simulator(n).run(st_)
+    b = Simulator(shuffled).run(st_)
     assert a == b
 
 
@@ -173,7 +172,7 @@ def test_forced_low_enable_freezes_ff(seed):
         {p: (0 if any(f.enable == p for f in gated) else rng.randint(0, 1)) for p in n.inputs}
         for _ in range(n_cycles)
     )
-    sim = simulator_for(n)
+    sim = Simulator(n)
     state = sim.reset()
     for cycle in range(n_cycles):
         state = sim.step_cycle(state, vectors[cycle])
@@ -184,21 +183,41 @@ def test_forced_low_enable_freezes_ff(seed):
 def test_settle_assigns_every_net_once():
     for seed in range(25):
         n = random_netlist(random.Random(seed))
-        sim = simulator_for(n)
+        sim = Simulator(n)
         state = sim.settle(sim.reset(), {p: 0 for p in n.inputs})
         assert set(state.net_values) == set(n.nets)
         outs = [g.output for g in n.gates]
         assert len(outs) == len(set(outs))
 
 
-def test_run_with_keep_states():
+def step_cycle_replay(sim, stimulus):
+    """Post-edge states and monitor rows of a reset/step_cycle replay."""
+    state = sim.reset()
+    states, rows = [], []
+    for inputs in stimulus.input_vectors:
+        state = sim.step_cycle(state, inputs)
+        states.append(state)
+        rows.append(tuple(state.net_values[m] for m in stimulus.monitors))
+    return states, GoldenTrace(stimulus.monitors, tuple(rows))
+
+
+def test_run_matches_step_cycle_replay():
     sim = Simulator(toggle())
-    trace, states = sim.run(autonomous_stimulus(toggle(), 3), keep_states=True)
-    assert len(states) == 3
+    stimulus = autonomous_stimulus(toggle(), 3)
+    states, replayed = step_cycle_replay(sim, stimulus)
     assert [s.cycle for s in states] == [1, 2, 3]
     assert [s.ff_values["t"] for s in states] == [1, 0, 1]
-    _, none = sim.run(autonomous_stimulus(toggle(), 3))
-    assert none is None
+    assert sim.run(stimulus) == replayed
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_run_matches_step_cycle_replay_on_random_circuits(seed):
+    rng = random.Random(seed)
+    n = random_netlist(rng)
+    stimulus = random_stimulus(rng, n)
+    sim = Simulator(n)
+    assert sim.run(stimulus) == step_cycle_replay(sim, stimulus)[1]
 
 
 # ---------------------------------------------------------------------------

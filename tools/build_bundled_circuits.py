@@ -298,7 +298,7 @@ def check_crc_pipeline(netlist: Netlist, stimulus: Stimulus, trace) -> None:
 def write(name: str, netlist: Netlist, stimulus: Stimulus) -> None:
     violations = validate(netlist)
     assert not violations, f"{name}: {[str(v) for v in violations]}"
-    trace, _ = Simulator(netlist).run(stimulus)
+    trace = Simulator(netlist).run(stimulus)
     if name == "crc8_pipeline":
         check_crc_pipeline(netlist, stimulus, trace)
     DATA.mkdir(parents=True, exist_ok=True)
