@@ -25,7 +25,7 @@ from .clocktree import ClockTree
 from .faults import FaultKind, FaultSpec, InjectionEffect, apply_set, apply_seu
 from .netlist import Netlist
 from .seeding import derive_rng
-from .simulator import GoldenTrace, SimState, Simulator, Stimulus
+from .simulator import GoldenTrace, Simulator, Stimulus
 
 
 class CampaignError(Exception):
@@ -172,13 +172,11 @@ def run_injection(
 
     effects: list[InjectionEffect] = []
 
-    def inject(mid: SimState) -> SimState:
+    def inject(v: list[int]) -> None:
         if spec.kind is FaultKind.SET:
-            state, effect = apply_set(sim, tree, mid, spec.target)
+            effects.append(apply_set(sim, tree, v, spec.target))
         else:
-            state, effect = apply_seu(sim, mid, spec.target)
-        effects.append(effect)
-        return state
+            effects.append(apply_seu(sim, v, spec.target))
 
     observed = sim.run(stimulus, fault=(spec.cycle, inject))
     note = compare_traces(golden, observed, spec.cycle)
@@ -192,13 +190,13 @@ def run_injection(
 # campaign driving
 
 # per-worker context for process pools, set once by the initializer so specs
-# are the only payload crossing process boundaries per task; each worker
-# compiles its own kernel from the pickled netlist
+# are the only payload crossing process boundaries per task; the compiled
+# kernel is an initializer argument, so under fork the workers inherit it
 _worker_ctx: dict = {}
 
 
-def _init_worker(netlist, stimulus, golden, tree):
-    _worker_ctx["args"] = (Simulator(netlist), stimulus, golden, tree)
+def _init_worker(sim, stimulus, golden, tree):
+    _worker_ctx["args"] = (sim, stimulus, golden, tree)
 
 
 def _run_one(spec: FaultSpec) -> InjectionOutcome:
@@ -219,7 +217,8 @@ def resolve_targets(
         universe = netlist.ff_names()
     if cfg.targets is None:
         return tuple(universe)
-    unknown = [t for t in cfg.targets if t not in set(universe)]
+    known = set(universe)
+    unknown = [t for t in cfg.targets if t not in known]
     if unknown:
         kind = "buffer" if cfg.mode is FaultKind.SET else "flip-flop"
         raise CampaignError(f"unknown {kind} target(s): {', '.join(unknown)}")
@@ -306,7 +305,7 @@ def run_specs(
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(netlist, stimulus, golden, tree),
+            initargs=(sim, stimulus, golden, tree),
         ) as pool:
             chunk = max(1, len(specs) // (workers * 8))
             outcomes = list(pool.map(_run_one, specs, chunksize=chunk))

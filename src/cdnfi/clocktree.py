@@ -182,6 +182,13 @@ def serialize_tree(tree: ClockTree) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _parse_cone(buffer: dict) -> tuple[str, ...]:
+    cone = buffer["cone"]
+    if not isinstance(cone, list) or not all(isinstance(x, str) for x in cone):
+        raise ClockTreeError(f"buffer {buffer['id']!r}: 'cone' must be a list of flip-flop names")
+    return tuple(cone)
+
+
 def parse_tree(text: str) -> ClockTree:
     try:
         doc = json.loads(text)
@@ -196,7 +203,7 @@ def parse_tree(text: str) -> ClockTree:
         else:
             raise ClockTreeError(f"unknown grouping mode '{mode}'")
         buffers = tuple(
-            ClockBuffer(b["id"], b["stage"], b["parent"], tuple(b["cone"]))
+            ClockBuffer(b["id"], b["stage"], b["parent"], _parse_cone(b))
             for b in doc["buffers"]
         )
         tree = ClockTree(buffers, doc["stages"], doc["min_fanout"], grouping)

@@ -1,11 +1,11 @@
-"""Fault models applied to a settled simulation state.
+"""Fault models written into the kernel's value list mid-cycle.
 
 A transient on a clock buffer acts as a premature extra clock edge for every
-flip-flop in that buffer's cone: each one copies its input value to its
-output ahead of the nominal edge (with enable honored as recirculation, so a
-disabled flip-flop keeps its stored value). An upset flips one flip-flop's
-stored value in place. Both models re-settle the combinational logic so the
-rest of the cycle observes the corrupted values.
+flip-flop in that buffer's cone: ``Simulator.clock`` latches the cone, each
+flip-flop copying its input value to its output (a disabled one keeps its
+stored value). An upset flips one flip-flop's stored value in place. Both
+write Q slots only; ``Simulator.run`` then re-settles the combinational
+logic so the rest of the cycle observes the corrupted values.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .clocktree import ClockTree
-from .netlist import Netlist
-from .simulator import SimState, Simulator
+from .simulator import Simulator
 
 
 class FaultKind(str, Enum):
@@ -49,81 +48,43 @@ class InjectionEffect:
     unchanged: tuple[str, ...]
 
 
-def _require_settled(netlist: Netlist, state: SimState) -> None:
-    missing = set(netlist.nets) - set(state.net_values)
-    if missing:
-        raise ValueError(
-            f"state is not settled ({len(missing)} nets have no value); "
-            "settle before injecting"
-        )
-
-
-def _extract_inputs(netlist: Netlist, state: SimState) -> dict[str, int]:
-    return {p: state.net_values[p] for p in netlist.inputs}
-
-
-def _effective_d(ff, state: SimState) -> int:
-    """Value the flip-flop would latch on an edge right now."""
-    if ff.enable is not None and state.net_values[ff.enable] == 0:
-        return state.ff_values[ff.name]
-    return state.net_values[ff.d]
-
-
 def apply_set(
     sim: Simulator,
     tree: ClockTree,
-    state: SimState,
+    v: list[int],
     buffer_id: str,
-) -> tuple[SimState, InjectionEffect]:
+) -> InjectionEffect:
     """Inject a clock transient on one buffer of the distribution network.
 
     Every flip-flop in the buffer's cone simultaneously takes the value it
-    would latch on a clock edge, evaluated against the pre-injection state.
-    Requires ``state`` to be combinationally settled for the current cycle.
+    would latch on a clock edge, evaluated against the settled values ``v``
+    of the current cycle; only the cone's Q slots of ``v`` are written.
     """
-    netlist = sim.netlist
-    _require_settled(netlist, state)
     cone = tree.cone(buffer_id)
-    ff_map = netlist.ff_map()
-    new_values = {}
-    for name in cone:
-        ff = ff_map.get(name)
-        if ff is None:
-            raise UnknownFlipFlopError(
-                f"cone of '{buffer_id}' names flip-flop '{name}' "
-                f"which is not in netlist '{netlist.name}'"
-            )
-        new_values[name] = _effective_d(ff, state)
-
-    changed = tuple(n for n in cone if new_values[n] != state.ff_values[n])
-    unchanged = tuple(n for n in cone if new_values[n] == state.ff_values[n])
-    effect = InjectionEffect(reached=tuple(cone), changed=changed, unchanged=unchanged)
-
-    ff_values = dict(state.ff_values)
-    ff_values.update(new_values)
-    settled = sim.settle(
-        SimState(state.cycle, ff_values, {}), _extract_inputs(netlist, state)
-    )
-    return settled, effect
-
-
-def apply_seu(
-    sim: Simulator,
-    state: SimState,
-    ff_name: str,
-) -> tuple[SimState, InjectionEffect]:
-    """Flip one flip-flop's stored value in a settled state."""
-    netlist = sim.netlist
-    _require_settled(netlist, state)
-    if ff_name not in state.ff_values:
+    try:
+        pins = [sim.pins[name] for name in cone]
+    except KeyError as e:
         raise UnknownFlipFlopError(
-            f"no flip-flop '{ff_name}' in netlist '{netlist.name}'"
-        )
-    ff_values = dict(state.ff_values)
-    ff_values[ff_name] = ff_values[ff_name] ^ 1
-    settled = sim.settle(
-        SimState(state.cycle, ff_values, {}), _extract_inputs(netlist, state)
+            f"cone of '{buffer_id}' names flip-flop '{e.args[0]}' "
+            f"which is not in netlist '{sim.netlist.name}'"
+        ) from None
+    before = [v[q] for q, _, _ in pins]
+    sim.clock(v, pins)
+    moved = [v[q] != bit for (q, _, _), bit in zip(pins, before)]
+    return InjectionEffect(
+        reached=tuple(cone),
+        changed=tuple(name for name, m in zip(cone, moved) if m),
+        unchanged=tuple(name for name, m in zip(cone, moved) if not m),
     )
-    effect = InjectionEffect(reached=(ff_name,), changed=(ff_name,), unchanged=())
-    return settled, effect
 
+
+def apply_seu(sim: Simulator, v: list[int], ff_name: str) -> InjectionEffect:
+    """Flip one flip-flop's stored value, its Q slot in ``v``."""
+    try:
+        q, _, _ = sim.pins[ff_name]
+    except KeyError:
+        raise UnknownFlipFlopError(
+            f"no flip-flop '{ff_name}' in netlist '{sim.netlist.name}'"
+        ) from None
+    v[q] ^= 1
+    return InjectionEffect(reached=(ff_name,), changed=(ff_name,), unchanged=())

@@ -285,23 +285,30 @@ def _gate_dependencies(n: Netlist) -> dict[str, list[str]]:
     return deps
 
 
-def _find_cycles(n: Netlist) -> list[Violation]:
-    deps = _gate_dependencies(n)
-    remaining = {gid: set(d) for gid, d in deps.items()}
-    ready = [gid for gid, d in remaining.items() if not d]
+def _topological_order(deps: dict[str, list[str]]) -> list[str]:
+    """Kahn's algorithm over ``deps``; ties resolve by document position.
+
+    A gate on a combinational cycle, or fed through one, never becomes ready
+    and is left out of the order.
+    """
+    remaining = {gid: len(d) for gid, d in deps.items()}
     consumers: dict[str, list[str]] = {}
     for gid, d in deps.items():
         for dep in d:
             consumers.setdefault(dep, []).append(gid)
-    done: set[str] = set()
-    while ready:
-        gid = ready.pop()
-        done.add(gid)
+    order = [gid for gid, count in remaining.items() if count == 0]
+    for gid in order:
         for c in consumers.get(gid, ()):
-            remaining[c].discard(gid)
-            if not remaining[c] and c not in done:
-                ready.append(c)
-    stuck = [gid for gid in remaining if gid not in done]
+            remaining[c] -= 1
+            if remaining[c] == 0:
+                order.append(c)
+    return order
+
+
+def _find_cycles(n: Netlist) -> list[Violation]:
+    deps = _gate_dependencies(n)
+    done = set(_topological_order(deps))
+    stuck = [gid for gid in deps if gid not in done]
     if not stuck:
         return []
     # walk dependencies until a gate repeats, then report that loop
@@ -323,23 +330,7 @@ def levelize(n: Netlist) -> list[str]:
     after every gate that drives one of its inputs. Order is deterministic:
     ties resolve by document position.
     """
-    deps = _gate_dependencies(n)
-    remaining = {gid: len(d) for gid, d in deps.items()}
-    consumers: dict[str, list[str]] = {}
-    for g in n.gates:
-        for dep in deps[g.id]:
-            consumers.setdefault(dep, []).append(g.id)
-    order: list[str] = []
-    queue = [g.id for g in n.gates if remaining[g.id] == 0]
-    head = 0
-    while head < len(queue):
-        gid = queue[head]
-        head += 1
-        order.append(gid)
-        for c in consumers.get(gid, ()):
-            remaining[c] -= 1
-            if remaining[c] == 0:
-                queue.append(c)
+    order = _topological_order(_gate_dependencies(n))
     if len(order) != len(n.gates):
         stuck = sorted(set(g.id for g in n.gates) - set(order))
         raise NetlistError(f"combinational cycle involving gates: {', '.join(stuck)}")
@@ -366,6 +357,9 @@ def parse_netlist(text: str) -> Netlist:
     for key in ("inputs", "outputs", "gates", "ffs"):
         if not isinstance(doc[key], list):
             raise NetlistParseError(f"'{key}' must be a list")
+    for key in ("inputs", "outputs"):
+        if not all(isinstance(p, str) for p in doc[key]):
+            raise NetlistParseError(f"'{key}' must be a list of port names")
 
     gates = []
     for i, entry in enumerate(doc["gates"]):
@@ -375,6 +369,9 @@ def parse_netlist(text: str) -> Netlist:
             gid, kind, ins, out = entry["id"], entry["kind"], entry["in"], entry["out"]
         except KeyError as e:
             raise NetlistParseError(f"gate entry {i} missing field {e}") from e
+        for field, value in (("id", gid), ("kind", kind)):
+            if not isinstance(value, str):
+                raise NetlistParseError(f"gate entry {i}: '{field}' must be a string")
         if not isinstance(ins, list) or not all(isinstance(x, str) for x in ins):
             raise NetlistParseError(f"gate '{gid}': 'in' must be a list of net names")
         if not isinstance(out, str):
@@ -390,6 +387,9 @@ def parse_netlist(text: str) -> Netlist:
         except KeyError as e:
             raise NetlistParseError(f"ff entry {i} missing field {e}") from e
         en = entry.get("en")
+        for field, value in (("name", name), ("d", d), ("q", q), ("en", en)):
+            if not isinstance(value, str) and (field != "en" or value is not None):
+                raise NetlistParseError(f"ff entry {i}: '{field}' must be a string")
         ffs.append(FlipFlop(name, d, q, en, init))
 
     n = Netlist.build(doc["name"], doc["inputs"], doc["outputs"], gates, ffs)

@@ -3,10 +3,10 @@
 Each cycle applies that cycle's input vector, settles the combinational
 logic, fires the clock edge (every flip-flop simultaneously takes
 ``enable ? D : Q``), then settles again so monitored outputs are sampled
-after the edge. ``Simulator.run`` is the one cycle loop: the golden run
-calls it plain, and a fault injection passes a mid-cycle hook that sees the
-settled state of one cycle and returns the state its clock edge latches
-from.
+after the edge. ``Simulator.run`` is the one cycle loop, on one flat list of
+net values whose Q slots hold the flip-flop state. A fault injection passes
+a mid-cycle hook that writes Q values into that list; the kernel re-settles
+before the edge.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Collection, Mapping, Optional
 
 from .netlist import Netlist, NetlistError, levelize, validate
 
@@ -107,8 +107,8 @@ class Simulator:
                 + "; ".join(str(v) for v in violations)
             )
         self.netlist = netlist
-        self._net_names = sorted(netlist.nets)
-        self._net_ids = {net: i for i, net in enumerate(self._net_names)}
+        self.net_names = sorted(netlist.nets)  # net_names[i] is slot i of a value list
+        self._net_ids = {net: i for i, net in enumerate(self.net_names)}
         gate_by_id = {g.id: g for g in netlist.gates}
         plan = []
         for gid in levelize(netlist):
@@ -117,26 +117,24 @@ class Simulator:
             ins += [0] * (3 - len(ins))
             plan.append((_OPS[g.kind], ins[0], ins[1], ins[2], self._net_ids[g.output]))
         self._plan = tuple(plan)
-        self._ffs = tuple(
-            (
-                f.name,
+        # flip-flop name -> its (Q, D, enable) slots, enable -1 when it has none
+        self.pins = {
+            f.name: (
                 self._net_ids[f.q],
                 self._net_ids[f.d],
                 self._net_ids[f.enable] if f.enable is not None else -1,
-                f.init,
             )
             for f in netlist.flipflops
-        )
+        }
         self._input_ids = {p: self._net_ids[p] for p in netlist.inputs}
 
     # -- state construction -------------------------------------------------
 
     def reset(self) -> SimState:
         """Initial state: cycle 0, every flip-flop at its declared init value."""
-        return SimState(0, {name: init for name, _, _, _, init in self._ffs}, {})
+        return SimState(0, {f.name: f.init for f in self.netlist.flipflops}, {})
 
-    def _values(self, ff_values: Mapping[str, int], inputs: Mapping[str, int]) -> list[int]:
-        v = [0] * len(self._net_ids)
+    def _write_inputs(self, v: list[int], inputs: Mapping[str, int]) -> None:
         for port, idx in self._input_ids.items():
             try:
                 bit = inputs[port]
@@ -148,7 +146,11 @@ class Simulator:
         for port in inputs:
             if port not in self._input_ids:
                 raise SimulationError(f"'{port}' is not a primary input of '{self.netlist.name}'")
-        for name, q, _, _, _ in self._ffs:
+
+    def _values(self, ff_values: Mapping[str, int], inputs: Mapping[str, int]) -> list[int]:
+        v = [0] * len(self.net_names)
+        self._write_inputs(v, inputs)
+        for name, (q, _, _) in self.pins.items():
             v[q] = ff_values[name]
         return v
 
@@ -177,17 +179,12 @@ class Simulator:
             else:
                 v[out] = 1
 
-    def _net_dict(self, v: list[int]) -> dict[str, int]:
-        return dict(zip(self._net_names, v))
-
-    def _latch(self, v: list[int]) -> dict[str, int]:
-        new_ff = {}
-        for name, q, d, en, _ in self._ffs:
-            if en >= 0 and v[en] == 0:
-                new_ff[name] = v[q]
-            else:
-                new_ff[name] = v[d]
-        return new_ff
+    def clock(self, v: list[int], pins: Collection[tuple[int, int, int]]) -> None:
+        """Clock the flip-flops with these ``pins`` at once: each Q takes
+        ``enable ? D : Q``, with every D read before any Q is written."""
+        new = [v[d] if en < 0 or v[en] else v[q] for q, d, en in pins]
+        for (q, _, _), bit in zip(pins, new):
+            v[q] = bit
 
     # -- public stepping -----------------------------------------------------
 
@@ -195,43 +192,40 @@ class Simulator:
         """Combinationally settle nets for this cycle's inputs; no clock edge."""
         v = self._values(state.ff_values, inputs)
         self._settle(v)
-        return SimState(state.cycle, dict(state.ff_values), self._net_dict(v))
+        return SimState(state.cycle, dict(state.ff_values), dict(zip(self.net_names, v)))
 
     def step_cycle(self, state: SimState, inputs: Mapping[str, int]) -> SimState:
         """Advance one clock cycle; returned nets are settled post-edge."""
         v = self._values(state.ff_values, inputs)
         self._settle(v)
-        new_ff = self._latch(v)
-        for name, q, _, _, _ in self._ffs:
-            v[q] = new_ff[name]
+        self.clock(v, self.pins.values())
         self._settle(v)
-        return SimState(state.cycle + 1, new_ff, self._net_dict(v))
+        new_ff = {name: v[q] for name, (q, _, _) in self.pins.items()}
+        return SimState(state.cycle + 1, new_ff, dict(zip(self.net_names, v)))
 
     def run(
         self,
         stimulus: Stimulus,
-        fault: Optional[tuple[int, Callable[[SimState], SimState]]] = None,
+        fault: Optional[tuple[int, Callable[[list[int]], None]]] = None,
     ) -> GoldenTrace:
         """Simulate the whole stimulus from reset, sampling monitors after every edge.
 
         ``fault`` is ``(cycle, apply)``: at that cycle, after the mid-cycle
-        settle, ``apply`` gets the settled state and returns the settled state
-        the clock edge latches from.
+        settle, ``apply(v)`` writes new Q values into the value list; the
+        kernel re-settles and the clock edge latches from the result.
         """
         validate_stimulus(self.netlist, stimulus)
         mon_ids = [self._net_ids[m] for m in stimulus.monitors]
         fault_cycle, apply = fault if fault is not None else (-1, None)
-        ff = self.reset().ff_values
+        v = self._values(self.reset().ff_values, dict.fromkeys(self._input_ids, 0))
         rows = []
         for cycle in range(stimulus.n_cycles):
-            v = self._values(ff, stimulus.input_vectors[cycle])
+            self._write_inputs(v, stimulus.input_vectors[cycle])
             self._settle(v)
             if cycle == fault_cycle:
-                nets = apply(SimState(cycle, ff, self._net_dict(v))).net_values
-                v = [nets[name] for name in self._net_names]
-            ff = self._latch(v)
-            for name, q, _, _, _ in self._ffs:
-                v[q] = ff[name]
+                apply(v)
+                self._settle(v)
+            self.clock(v, self.pins.values())
             self._settle(v)
             rows.append(tuple(v[m] for m in mon_ids))
         return GoldenTrace(stimulus.monitors, tuple(rows))

@@ -2,26 +2,58 @@
 
 ``explicit_pulse_oracle`` is an independent formulation of a clock transient;
 ``replay_injection`` is the full step-by-step replay an injection is defined
-by. Both use only the simulator's public stepping methods.
+by. Both use only the simulator's public stepping methods and share no code
+with ``cdnfi.faults``. ``fault_on_state`` runs a production fault function on
+a settled ``SimState``, so its result can be compared with theirs.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from cdnfi.campaign import Classification, InjectionOutcome, compare_traces
 from cdnfi.clocktree import ClockTree
-from cdnfi.faults import (
-    FaultKind,
-    FaultSpec,
-    UnknownFlipFlopError,
-    _effective_d,
-    _extract_inputs,
-    _require_settled,
-    apply_set,
-    apply_seu,
-)
+from cdnfi.faults import FaultKind, FaultSpec, InjectionEffect, UnknownFlipFlopError
 from cdnfi.simulator import GoldenTrace, SimState, Simulator, Stimulus
+
+
+def _require_settled(netlist, state: SimState) -> None:
+    missing = set(netlist.nets) - set(state.net_values)
+    if missing:
+        raise ValueError(
+            f"state is not settled ({len(missing)} nets have no value); "
+            "settle before injecting"
+        )
+
+
+def _extract_inputs(netlist, state: SimState) -> dict[str, int]:
+    return {p: state.net_values[p] for p in netlist.inputs}
+
+
+def _effective_d(ff, state: SimState) -> int:
+    """Value the flip-flop would latch on an edge right now."""
+    if ff.enable is not None and state.net_values[ff.enable] == 0:
+        return state.ff_values[ff.name]
+    return state.net_values[ff.d]
+
+
+def fault_on_state(
+    sim: Simulator,
+    state: SimState,
+    apply: Callable[[list[int]], InjectionEffect],
+) -> tuple[SimState, InjectionEffect]:
+    """Run ``apply`` on a settled state as ``Simulator.run`` does mid-cycle.
+
+    The state's nets become the kernel's value list, ``apply`` writes Q
+    values into it, and the result is settled again for the same inputs.
+    """
+    v = [state.net_values[name] for name in sim.net_names]
+    effect = apply(v)
+    ff_values = {name: v[q] for name, (q, _, _) in sim.pins.items()}
+    settled = sim.settle(
+        SimState(state.cycle, ff_values, {}), _extract_inputs(sim.netlist, state)
+    )
+    return settled, effect
 
 
 def explicit_pulse_oracle(
@@ -68,8 +100,11 @@ def replay_injection(
 ) -> InjectionOutcome:
     """Full replay from reset: settle each cycle, fault at spec.cycle, step.
 
-    The monitored trace is compared to the golden one from the injection
-    cycle on, exactly as a campaign classifies an injection.
+    A transient is the explicit-pulse oracle, its effect read from the
+    cone's stored values before and after; an upset flips one stored value
+    and settles again. The monitored trace is compared to the golden one
+    from the injection cycle on, exactly as a campaign classifies an
+    injection.
     """
     state = sim.reset()
     effect = None
@@ -79,9 +114,18 @@ def replay_injection(
         if cycle == spec.cycle:
             mid = sim.settle(state, inputs)
             if spec.kind is FaultKind.SET:
-                state, effect = apply_set(sim, tree, mid, spec.target)
+                state = explicit_pulse_oracle(sim, tree, mid, spec.target)
+                cone = tree.cone(spec.target)
+                effect = InjectionEffect(
+                    reached=cone,
+                    changed=tuple(n for n in cone if state.ff_values[n] != mid.ff_values[n]),
+                    unchanged=tuple(n for n in cone if state.ff_values[n] == mid.ff_values[n]),
+                )
             else:
-                state, effect = apply_seu(sim, mid, spec.target)
+                flipped = dict(mid.ff_values)
+                flipped[spec.target] ^= 1
+                state = sim.settle(SimState(mid.cycle, flipped, {}), inputs)
+                effect = InjectionEffect((spec.target,), (spec.target,), ())
         state = sim.step_cycle(state, inputs)
         rows.append(tuple(state.net_values[m] for m in stimulus.monitors))
     note = compare_traces(golden, GoldenTrace(stimulus.monitors, tuple(rows)), spec.cycle)

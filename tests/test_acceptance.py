@@ -26,7 +26,7 @@ from cdnfi.netlist import FlipFlop, Netlist
 from cdnfi.report import as_fraction, combine_fit, fdr, overlap
 from cdnfi.simulator import SimState, Simulator, Stimulus
 from gencircuit import random_netlist
-from oracles import explicit_pulse_oracle
+from oracles import explicit_pulse_oracle, fault_on_state
 
 
 @contextmanager
@@ -89,7 +89,9 @@ def test_criterion_03_accounting_identity(lfsr, lfsr_stimulus, lfsr_golden):
                 inputs = {p: rng.randint(0, 1) for p in netlist.inputs}
                 state = sim.settle(sim.reset(), inputs)
                 for buffer_id in tree.buffer_ids():
-                    _, effect = apply_set(sim, tree, state, buffer_id)
+                    _, effect = fault_on_state(
+                        sim, state, lambda v: apply_set(sim, tree, v, buffer_id)
+                    )
                     assert len(effect.reached) == len(effect.changed) + len(effect.unchanged)
                     assert set(effect.reached) == set(effect.changed) | set(effect.unchanged)
                     assert not set(effect.changed) & set(effect.unchanged)
@@ -124,7 +126,9 @@ def test_criterion_04_oracle_equivalence(crc8, crc8_stimulus, lfsr, lfsr_stimulu
                 mid = sim.settle(state, inputs)
                 for tree in trees:
                     for buffer_id in tree.buffer_ids():
-                        fast, _ = apply_set(sim, tree, mid, buffer_id)
+                        fast, _ = fault_on_state(
+                            sim, mid, lambda v: apply_set(sim, tree, v, buffer_id)
+                        )
                         slow = explicit_pulse_oracle(sim, tree, mid, buffer_id)
                         assert fast == slow, (netlist.name, buffer_id, cycle)
                         compared += 1

@@ -185,7 +185,7 @@ def test_campaign_set_requires_tree(tmp_path, capsys):
     ])
     assert rc == 2
     assert "--tree" in capsys.readouterr().err
-    assert not out_dir.exists()
+    assert not (out_dir / "log_cdn.csv").exists()
 
 
 def test_campaign_multi_tree_conservation(tmp_path, capsys):
@@ -313,6 +313,49 @@ def test_campaign_rejects_tree_naming_unknown_flipflops(tmp_path, capsys):
     assert len(err) == 1
     assert err[0].startswith("error:") and "'x0'" in err[0]
     assert not (out_dir / "log_foreign.csv").exists()
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda doc: doc.update(inputs=[1, "a"]), "'inputs' must be a list of port names"),
+    (lambda doc: doc.update(outputs=["q", None]), "'outputs' must be a list of port names"),
+    (lambda doc: doc["gates"][0].update(id=["g"]), "gate entry 0: 'id' must be a string"),
+    (lambda doc: doc["gates"][0].update(kind=7), "gate entry 0: 'kind' must be a string"),
+    (lambda doc: doc["ffs"][0].update(name=1), "ff entry 0: 'name' must be a string"),
+    (lambda doc: doc["ffs"][0].update(d=["d"]), "ff entry 0: 'd' must be a string"),
+    (lambda doc: doc["ffs"][0].update(q={}), "ff entry 0: 'q' must be a string"),
+    (lambda doc: doc["ffs"][0].update(en=0), "ff entry 0: 'en' must be a string"),
+])
+def test_gen_cdn_rejects_non_string_names(tmp_path, capsys, mutate, message):
+    doc = json.loads(TOGGLE_DOC)
+    mutate(doc)
+    netlist = tmp_path / "bad.json"
+    netlist.write_text(json.dumps(doc))
+    rc = main([
+        "gen-cdn", str(netlist), "--min-fanout", "2", "--out-dir", str(tmp_path / "cdns"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and message in err[0]
+
+
+def test_campaign_rejects_string_cone(tmp_path, capsys):
+    netlist, stimulus = write_toggle(tmp_path)
+    tree_path = tmp_path / "cdn.json"
+    save_tree(generate_tree(["t"], 2), tree_path)
+    doc = json.loads(tree_path.read_text())
+    doc["buffers"][0]["cone"] = "t"
+    tree_path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    rc = main([
+        "campaign", str(netlist), str(stimulus), "--mode", "set",
+        "--tree", str(tree_path), "--out-dir", str(out_dir),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "'cone' must be a list" in err[0]
+    assert not (out_dir / "log_cdn.csv").exists()
 
 
 REPO = Path(__file__).resolve().parent.parent
