@@ -217,7 +217,9 @@ class Simulator:
         validate_stimulus(self.netlist, stimulus)
         mon_ids = [self._net_ids[m] for m in stimulus.monitors]
         fault_cycle, apply = fault if fault is not None else (-1, None)
-        v = self._values(self.reset().ff_values, dict.fromkeys(self._input_ids, 0))
+        v = [0] * len(self.net_names)
+        for f in self.netlist.flipflops:
+            v[self.pins[f.name][0]] = f.init
         rows = []
         for cycle in range(stimulus.n_cycles):
             self._write_inputs(v, stimulus.input_vectors[cycle])

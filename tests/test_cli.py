@@ -185,7 +185,7 @@ def test_campaign_set_requires_tree(tmp_path, capsys):
     ])
     assert rc == 2
     assert "--tree" in capsys.readouterr().err
-    assert not (out_dir / "log_cdn.csv").exists()
+    assert not out_dir.exists()
 
 
 def test_campaign_multi_tree_conservation(tmp_path, capsys):
