@@ -125,12 +125,6 @@ def compare_traces(golden: GoldenTrace, observed: GoldenTrace, from_cycle: int) 
     return None
 
 
-def classify(golden: GoldenTrace, observed: GoldenTrace, from_cycle: int) -> Classification:
-    if compare_traces(golden, observed, from_cycle) is None:
-        return Classification.MASKED
-    return Classification.FUNCTIONAL_FAILURE
-
-
 # ---------------------------------------------------------------------------
 # time sampling
 
@@ -240,30 +234,8 @@ def build_specs(
     return specs
 
 
-def exhaustive_specs(
-    netlist: Netlist,
-    stimulus: Stimulus,
-    mode: FaultKind,
-    tree: Optional[ClockTree] = None,
-    targets: Optional[Sequence[str]] = None,
-) -> list[FaultSpec]:
-    """Every target at every cycle of the active window, in canonical order."""
-    if targets is None:
-        if mode is FaultKind.SET:
-            if tree is None:
-                raise CampaignError("SET campaigns need a clock tree")
-            targets = tree.buffer_ids()
-        else:
-            targets = netlist.ff_names()
-    first, last = stimulus.active_window
-    return [
-        FaultSpec(mode, target, cycle)
-        for target in targets
-        for cycle in range(first, last + 1)
-    ]
-
-
-def _check_cones(netlist: Netlist, tree: ClockTree, targets: Iterable[str]) -> None:
+def check_cones(netlist: Netlist, tree: ClockTree, targets: Iterable[str]) -> None:
+    """Raise unless every targeted buffer's cone names only netlist flip-flops."""
     ffs = set(netlist.ff_names())
     for target in targets:
         missing = [name for name in tree.cone(target) if name not in ffs]
@@ -297,7 +269,7 @@ def run_specs(
     # targets in first-seen spec order
     per_target = {s.target: Tally() for s in specs}
     if mode is FaultKind.SET and tree is not None:
-        _check_cones(netlist, tree, per_target)
+        check_cones(netlist, tree, per_target)
     if golden is None:
         golden = sim.run(stimulus)
 
@@ -404,15 +376,7 @@ def result_to_json(result: CampaignResult) -> str:
         "per_target": [
             {"target": target, **vars(t)} for target, t in result.per_target.items()
         ],
-        "per_ff": {
-            name: {
-                "times_changed": f.times_changed,
-                "times_changed_and_failed": f.times_changed_and_failed,
-                "times_upset": f.times_upset,
-                "times_upset_and_failed": f.times_upset_and_failed,
-            }
-            for name, f in result.per_ff.items()
-        },
+        "per_ff": {name: vars(f) for name, f in result.per_ff.items()},
         "records": [
             {
                 "kind": out.spec.kind.value,

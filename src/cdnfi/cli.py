@@ -24,6 +24,7 @@ from . import __version__
 from .campaign import (
     CampaignConfig,
     CampaignError,
+    check_cones,
     log_to_csv,
     result_from_json,
     result_to_json,
@@ -180,12 +181,19 @@ def _cmd_gen_cdn(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    outputs = []
     if args.grouping == "by-name":
         if args.count > 1:
             print("note: by-name grouping is deterministic; writing a single network")
-        tree = generate_tree(ffs, args.min_fanout, ByName())
-        path = out_dir / "cdn_by_name.json"
+        named = [("cdn_by_name.json", ByName())]
+    else:
+        named = [
+            (f"cdn_random_{i:03d}.json", RandomShuffle(derive_seed(args.seed, f"cdn/{i}")))
+            for i in range(args.count)
+        ]
+    outputs = []
+    for name, grouping in named:
+        tree = generate_tree(ffs, args.min_fanout, grouping)
+        path = out_dir / name
         save_tree(tree, path)
         outputs.append(path)
         stats = tree_stats(tree)
@@ -193,20 +201,6 @@ def _cmd_gen_cdn(args) -> int:
             f"{path.name}: stages={stats.stages} buffers={stats.buffer_count} "
             f"fanout={stats.min_leaf_fanout}..{stats.max_leaf_fanout}"
         )
-    else:
-        for i in range(args.count):
-            tree = generate_tree(
-                ffs, args.min_fanout,
-                RandomShuffle(derive_seed(args.seed, f"cdn/{i}")),
-            )
-            path = out_dir / f"cdn_random_{i:03d}.json"
-            save_tree(tree, path)
-            outputs.append(path)
-            stats = tree_stats(tree)
-            print(
-                f"{path.name}: stages={stats.stages} buffers={stats.buffer_count} "
-                f"fanout={stats.min_leaf_fanout}..{stats.max_leaf_fanout}"
-            )
     _write_manifest(
         out_dir / "manifest.json", "gen-cdn",
         {
@@ -230,6 +224,10 @@ def _cmd_campaign(args) -> int:
     netlist = load_netlist(netlist_path)
     sim = Simulator(netlist)
     stimulus = load_stimulus(stimulus_path)
+    # every tree is loaded and checked before anything is written or run
+    trees = [load_tree(p) for p in tree_paths] if mode is FaultKind.SET else []
+    for tree in trees:
+        check_cones(netlist, tree, tree.buffer_ids())
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
@@ -259,12 +257,10 @@ def _cmd_campaign(args) -> int:
 
     results = []
     if mode is FaultKind.SET:
-        for path in tree_paths:
-            tree = load_tree(path)
-            label = path.stem
+        for path, tree in zip(tree_paths, trees):
             results.append(run_campaign(
                 sim, stimulus, cfg, tree=tree, golden=golden,
-                workers=args.workers, label=label,
+                workers=args.workers, label=path.stem,
             ))
     else:
         results.append(run_campaign(
@@ -353,10 +349,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "campaign":
             return _cmd_campaign(args)
         return _cmd_report(args)
-    except (UsageError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (NetlistError, SimulationError, ClockTreeError, CampaignError, ReportError) as e:
+    except (
+        UsageError, FileNotFoundError, NetlistError, SimulationError,
+        ClockTreeError, CampaignError, ReportError,
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

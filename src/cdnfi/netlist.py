@@ -106,8 +106,10 @@ class Netlist:
     def ff_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.flipflops)
 
-    def ff_map(self) -> dict[str, FlipFlop]:
-        return {f.name: f for f in self.flipflops}
+
+def is_bit(value: object) -> bool:
+    """True for the ints 0 and 1; ``True`` and ``1.0`` are not bits."""
+    return isinstance(value, int) and not isinstance(value, bool) and value in (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +231,7 @@ def validate(n: Netlist) -> list[Violation]:
         if f.name in seen_ffs:
             violations.append(DuplicateName(f.name, "flip-flop"))
         seen_ffs.add(f.name)
-        if f.init not in (0, 1):
+        if not is_bit(f.init):
             violations.append(BadInitValue(f.name, f.init))
 
     seen_ports: set[str] = set()

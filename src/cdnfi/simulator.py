@@ -3,10 +3,11 @@
 Each cycle applies that cycle's input vector, settles the combinational
 logic, fires the clock edge (every flip-flop simultaneously takes
 ``enable ? D : Q``), then settles again so monitored outputs are sampled
-after the edge. ``Simulator.run`` is the one cycle loop, on one flat list of
-net values whose Q slots hold the flip-flop state. A fault injection passes
-a mid-cycle hook that writes Q values into that list; the kernel re-settles
-before the edge.
+after the edge. ``Simulator.run`` is the only cycle loop: the golden run and
+every injection go through it, on one flat list of net values whose Q slots
+hold the flip-flop state. A fault injection passes a mid-cycle hook that
+writes Q values into that list; the kernel re-settles before the edge. The
+stimulus is checked once per run, by ``validate_stimulus``, before the loop.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Optional
 
-from .netlist import Netlist, NetlistError, levelize, validate
+from .netlist import Netlist, NetlistError, is_bit, levelize, validate
 
 
 class SimulationError(Exception):
@@ -30,20 +31,6 @@ class MissingInputError(SimulationError):
 
 class StimulusError(SimulationError):
     pass
-
-
-@dataclass(frozen=True)
-class SimState:
-    """Snapshot of a simulation: cycle counter, Q values, settled net values.
-
-    ``net_values`` is empty right after reset; it is established by the first
-    settle and from then on is the fixed point of evaluating all gates for the
-    current flip-flop values and primary inputs.
-    """
-
-    cycle: int
-    ff_values: dict[str, int]
-    net_values: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -128,31 +115,9 @@ class Simulator:
         }
         self._input_ids = {p: self._net_ids[p] for p in netlist.inputs}
 
-    # -- state construction -------------------------------------------------
-
-    def reset(self) -> SimState:
-        """Initial state: cycle 0, every flip-flop at its declared init value."""
-        return SimState(0, {f.name: f.init for f in self.netlist.flipflops}, {})
-
     def _write_inputs(self, v: list[int], inputs: Mapping[str, int]) -> None:
         for port, idx in self._input_ids.items():
-            try:
-                bit = inputs[port]
-            except KeyError:
-                raise MissingInputError(f"no value for primary input '{port}'") from None
-            if bit not in (0, 1):
-                raise SimulationError(f"input '{port}' value {bit!r} is not a bit")
-            v[idx] = bit
-        for port in inputs:
-            if port not in self._input_ids:
-                raise SimulationError(f"'{port}' is not a primary input of '{self.netlist.name}'")
-
-    def _values(self, ff_values: Mapping[str, int], inputs: Mapping[str, int]) -> list[int]:
-        v = [0] * len(self.net_names)
-        self._write_inputs(v, inputs)
-        for name, (q, _, _) in self.pins.items():
-            v[q] = ff_values[name]
-        return v
+            v[idx] = inputs[port]
 
     def _settle(self, v: list[int]) -> None:
         for op, i0, i1, i2, out in self._plan:
@@ -185,23 +150,6 @@ class Simulator:
         new = [v[d] if en < 0 or v[en] else v[q] for q, d, en in pins]
         for (q, _, _), bit in zip(pins, new):
             v[q] = bit
-
-    # -- public stepping -----------------------------------------------------
-
-    def settle(self, state: SimState, inputs: Mapping[str, int]) -> SimState:
-        """Combinationally settle nets for this cycle's inputs; no clock edge."""
-        v = self._values(state.ff_values, inputs)
-        self._settle(v)
-        return SimState(state.cycle, dict(state.ff_values), dict(zip(self.net_names, v)))
-
-    def step_cycle(self, state: SimState, inputs: Mapping[str, int]) -> SimState:
-        """Advance one clock cycle; returned nets are settled post-edge."""
-        v = self._values(state.ff_values, inputs)
-        self._settle(v)
-        self.clock(v, self.pins.values())
-        self._settle(v)
-        new_ff = {name: v[q] for name, (q, _, _) in self.pins.items()}
-        return SimState(state.cycle + 1, new_ff, dict(zip(self.net_names, v)))
 
     def run(
         self,
@@ -238,15 +186,29 @@ class Simulator:
 
 
 def validate_stimulus(netlist: Netlist, st: Stimulus) -> None:
+    """Monitors must be outputs; each cycle has one input vector, which gives
+    a bit to every primary input and to nothing else."""
     missing = [m for m in st.monitors if m not in netlist.outputs]
     if missing:
         raise StimulusError(
             f"monitors not among outputs of '{netlist.name}': {', '.join(missing)}"
         )
+    if len(st.input_vectors) != st.n_cycles:
+        raise StimulusError(
+            f"{len(st.input_vectors)} input vectors for {st.n_cycles} cycles"
+        )
+    inputs = set(netlist.inputs)
     for cycle, vec in enumerate(st.input_vectors):
         for port in netlist.inputs:
             if port not in vec:
                 raise MissingInputError(f"cycle {cycle} has no value for input '{port}'")
+        for port, bit in vec.items():
+            if port not in inputs:
+                raise SimulationError(
+                    f"cycle {cycle}: '{port}' is not a primary input of '{netlist.name}'"
+                )
+            if not is_bit(bit):
+                raise SimulationError(f"cycle {cycle} input '{port}' value {bit!r} is not a bit")
 
 
 def parse_stimulus(text: str) -> Stimulus:
@@ -297,7 +259,7 @@ def parse_stimulus(text: str) -> Stimulus:
         if not isinstance(vec, dict):
             raise StimulusError(f"vector for cycle {cycle} must be an object")
         for port, bit in vec.items():
-            if bit not in (0, 1):
+            if not is_bit(bit):
                 raise StimulusError(f"cycle {cycle} input '{port}' value {bit!r} is not a bit")
         by_cycle[cycle] = dict(vec)
     if 0 not in by_cycle:
@@ -331,11 +293,6 @@ def serialize_stimulus(st: Stimulus) -> str:
 def load_stimulus(path) -> Stimulus:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_stimulus(fh.read())
-
-
-def save_stimulus(st: Stimulus, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_stimulus(st))
 
 
 def load_trace(path) -> GoldenTrace:

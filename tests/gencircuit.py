@@ -13,7 +13,7 @@ from cdnfi.netlist import FlipFlop, Gate, Netlist
 from cdnfi.simulator import Stimulus
 
 _ARITY = {"NOT": 1, "BUF": 1, "MUX2": 3, "CONST0": 0, "CONST1": 0}
-_KINDS = ["AND", "OR", "XOR", "NAND", "NOR", "XNOR", "NOT", "BUF", "MUX2"]
+_KINDS = ["AND", "OR", "XOR", "NAND", "NOR", "XNOR", "NOT", "BUF", "MUX2", "CONST0", "CONST1"]
 
 
 def random_netlist(

@@ -1,63 +1,116 @@
 """Reference semantics the production engine is checked against.
 
-``explicit_pulse_oracle`` is an independent formulation of a clock transient;
-``replay_injection`` is the full step-by-step replay an injection is defined
-by. Both use only the simulator's public stepping methods and share no code
-with ``cdnfi.faults``. ``fault_on_state`` runs a production fault function on
-a settled ``SimState``, so its result can be compared with theirs.
+``Stepper`` is a reference simulator: ``reset``, ``settle`` and
+``step_cycle`` on a ``SimState`` of name-keyed dicts, with its own gate table
+and its own latch rule. Of ``cdnfi`` it uses only the netlist data model and
+``levelize``, so it shares no code with the compiled kernel in
+``cdnfi.simulator``, and a fault in the kernel cannot pass on both sides.
+``explicit_pulse_oracle`` is an independent formulation of a clock transient
+and ``replay_injection`` the full step-by-step replay an injection is defined
+by; both run on the stepper and share no code with ``cdnfi.faults``.
+``fault_on_state`` runs a production fault function on a settled
+``SimState``, so its result can be compared with theirs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Mapping, Optional
 
 from cdnfi.campaign import Classification, InjectionOutcome, compare_traces
 from cdnfi.clocktree import ClockTree
 from cdnfi.faults import FaultKind, FaultSpec, InjectionEffect, UnknownFlipFlopError
-from cdnfi.simulator import GoldenTrace, SimState, Simulator, Stimulus
+from cdnfi.netlist import FlipFlop, Netlist, levelize
+from cdnfi.simulator import GoldenTrace, Simulator, Stimulus
+
+_GATES = {
+    "AND": lambda a, b: a & b,
+    "OR": lambda a, b: a | b,
+    "NAND": lambda a, b: 1 - (a & b),
+    "NOR": lambda a, b: 1 - (a | b),
+    "XOR": lambda a, b: a ^ b,
+    "XNOR": lambda a, b: 1 - (a ^ b),
+    "NOT": lambda a: 1 - a,
+    "BUF": lambda a: a,
+    "MUX2": lambda in0, in1, sel: in1 if sel else in0,
+    "CONST0": lambda: 0,
+    "CONST1": lambda: 1,
+}
 
 
-def _require_settled(netlist, state: SimState) -> None:
-    missing = set(netlist.nets) - set(state.net_values)
-    if missing:
-        raise ValueError(
-            f"state is not settled ({len(missing)} nets have no value); "
-            "settle before injecting"
-        )
+@dataclass(frozen=True)
+class SimState:
+    """Snapshot of a simulation: cycle counter, Q values, settled net values.
+
+    ``net_values`` is empty right after reset; ``settle`` fills in every net
+    for the current flip-flop values and primary inputs.
+    """
+
+    cycle: int
+    ff_values: dict[str, int]
+    net_values: dict[str, int]
 
 
-def _extract_inputs(netlist, state: SimState) -> dict[str, int]:
-    return {p: state.net_values[p] for p in netlist.inputs}
-
-
-def _effective_d(ff, state: SimState) -> int:
-    """Value the flip-flop would latch on an edge right now."""
+def latch(ff: FlipFlop, state: SimState) -> int:
+    """Value the flip-flop would latch on an edge in this settled state."""
     if ff.enable is not None and state.net_values[ff.enable] == 0:
         return state.ff_values[ff.name]
     return state.net_values[ff.d]
 
 
+class Stepper:
+    """Reference simulator that advances one cycle at a time."""
+
+    def __init__(self, netlist: Netlist):
+        self.netlist = netlist
+        by_id = {g.id: g for g in netlist.gates}
+        self._gates = [by_id[gid] for gid in levelize(netlist)]
+
+    def reset(self) -> SimState:
+        """Cycle 0, every flip-flop at its declared init value."""
+        return SimState(0, {f.name: f.init for f in self.netlist.flipflops}, {})
+
+    def settle(self, state: SimState, inputs: Mapping[str, int]) -> SimState:
+        """Evaluate every gate for these inputs and Q values; no clock edge."""
+        nets = dict(inputs)
+        for f in self.netlist.flipflops:
+            nets[f.q] = state.ff_values[f.name]
+        for g in self._gates:
+            nets[g.output] = _GATES[g.kind](*(nets[x] for x in g.inputs))
+        return SimState(state.cycle, dict(state.ff_values), nets)
+
+    def step_cycle(self, state: SimState, inputs: Mapping[str, int]) -> SimState:
+        """Settle, clock every flip-flop at once, settle again."""
+        mid = self.settle(state, inputs)
+        latched = {f.name: latch(f, mid) for f in self.netlist.flipflops}
+        return self.settle(SimState(state.cycle + 1, latched, {}), inputs)
+
+
+def _inputs(netlist: Netlist, state: SimState) -> dict[str, int]:
+    return {p: state.net_values[p] for p in netlist.inputs}
+
+
 def fault_on_state(
     sim: Simulator,
+    ref: Stepper,
     state: SimState,
     apply: Callable[[list[int]], InjectionEffect],
 ) -> tuple[SimState, InjectionEffect]:
     """Run ``apply`` on a settled state as ``Simulator.run`` does mid-cycle.
 
     The state's nets become the kernel's value list, ``apply`` writes Q
-    values into it, and the result is settled again for the same inputs.
+    values into it, and the stepper settles the result again for the same
+    inputs.
     """
     v = [state.net_values[name] for name in sim.net_names]
     effect = apply(v)
     ff_values = {name: v[q] for name, (q, _, _) in sim.pins.items()}
-    settled = sim.settle(
-        SimState(state.cycle, ff_values, {}), _extract_inputs(sim.netlist, state)
-    )
+    settled = ref.settle(SimState(state.cycle, ff_values, {}), _inputs(ref.netlist, state))
     return settled, effect
 
 
 def explicit_pulse_oracle(
-    sim: Simulator,
+    ref: Stepper,
     tree: ClockTree,
     state: SimState,
     buffer_id: str,
@@ -70,29 +123,26 @@ def explicit_pulse_oracle(
     as an independent formulation of the same physics so the optimized
     injection in ``cdnfi.faults`` can be checked against it.
     """
-    netlist = sim.netlist
-    _require_settled(netlist, state)
+    netlist = ref.netlist
+    missing = set(netlist.nets) - set(state.net_values)
+    if missing:
+        raise ValueError(f"state is not settled ({len(missing)} nets have no value)")
     cone = set(tree.cone(buffer_id))
-    ff_map = netlist.ff_map()
-    unknown = sorted(cone - set(ff_map))
+    unknown = sorted(cone - set(netlist.ff_names()))
     if unknown:
         raise UnknownFlipFlopError(
             f"cone of '{buffer_id}' names flip-flops not in netlist "
             f"'{netlist.name}': {', '.join(unknown)}"
         )
-    pulsed = {}
-    for name, ff in ff_map.items():
-        if name in cone:
-            pulsed[name] = _effective_d(ff, state)
-        else:
-            pulsed[name] = state.ff_values[name]
-    return sim.settle(
-        SimState(state.cycle, pulsed, {}), _extract_inputs(netlist, state)
-    )
+    pulsed = {
+        f.name: latch(f, state) if f.name in cone else state.ff_values[f.name]
+        for f in netlist.flipflops
+    }
+    return ref.settle(SimState(state.cycle, pulsed, {}), _inputs(netlist, state))
 
 
 def replay_injection(
-    sim: Simulator,
+    ref: Stepper,
     stimulus: Stimulus,
     golden: GoldenTrace,
     spec: FaultSpec,
@@ -106,15 +156,15 @@ def replay_injection(
     from the injection cycle on, exactly as a campaign classifies an
     injection.
     """
-    state = sim.reset()
+    state = ref.reset()
     effect = None
     rows = []
     for cycle in range(stimulus.n_cycles):
         inputs = stimulus.input_vectors[cycle]
         if cycle == spec.cycle:
-            mid = sim.settle(state, inputs)
+            mid = ref.settle(state, inputs)
             if spec.kind is FaultKind.SET:
-                state = explicit_pulse_oracle(sim, tree, mid, spec.target)
+                state = explicit_pulse_oracle(ref, tree, mid, spec.target)
                 cone = tree.cone(spec.target)
                 effect = InjectionEffect(
                     reached=cone,
@@ -124,9 +174,9 @@ def replay_injection(
             else:
                 flipped = dict(mid.ff_values)
                 flipped[spec.target] ^= 1
-                state = sim.settle(SimState(mid.cycle, flipped, {}), inputs)
+                state = ref.settle(SimState(mid.cycle, flipped, {}), inputs)
                 effect = InjectionEffect((spec.target,), (spec.target,), ())
-        state = sim.step_cycle(state, inputs)
+        state = ref.step_cycle(state, inputs)
         rows.append(tuple(state.net_values[m] for m in stimulus.monitors))
     note = compare_traces(golden, GoldenTrace(stimulus.monitors, tuple(rows)), spec.cycle)
     classification = (

@@ -10,9 +10,7 @@ from cdnfi.campaign import (
     CampaignError,
     Classification,
     build_specs,
-    classify,
     compare_traces,
-    exhaustive_specs,
     log_to_csv,
     resolve_targets,
     result_from_json,
@@ -27,7 +25,7 @@ from cdnfi.faults import FaultKind, FaultSpec
 from cdnfi.netlist import FlipFlop, Gate, Netlist
 from cdnfi.simulator import GoldenTrace, Simulator, Stimulus
 from gencircuit import random_netlist, random_stimulus
-from oracles import replay_injection
+from oracles import Stepper, replay_injection
 from test_netlist import toggle
 
 
@@ -116,14 +114,13 @@ def test_zero_injections_rejected():
 def test_identical_traces_are_masked():
     t = GoldenTrace(("m",), ((0,), (1,)))
     assert compare_traces(t, t, 0) is None
-    assert classify(t, t, 0) is Classification.MASKED
 
 
 def test_difference_before_injection_cycle_is_ignored():
     g = GoldenTrace(("m",), ((0,), (1,), (1,)))
     o = GoldenTrace(("m",), ((1,), (1,), (1,)))
     assert compare_traces(g, o, 1) is None
-    assert classify(g, o, 0) is Classification.FUNCTIONAL_FAILURE
+    assert compare_traces(g, o, 0) is not None
     assert "cycle 0" in compare_traces(g, o, 0)
 
 
@@ -132,7 +129,6 @@ def test_shape_mismatch_is_a_failure_with_reason():
     o = GoldenTrace(("m",), ((0,),))
     reason = compare_traces(g, o, 0)
     assert reason is not None and "shape mismatch" in reason
-    assert classify(g, o, 0) is Classification.FUNCTIONAL_FAILURE
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +192,7 @@ def test_injection_validations():
 @given(seed=hst.integers(min_value=0, max_value=10_000), kind=hst.sampled_from(list(FaultKind)))
 def test_run_injection_matches_full_replay(seed, kind):
     # the one cycle loop with a mid-cycle fault hook against the reference
-    # reset/settle/fault/step_cycle replay, on random circuits and specs
+    # stepper's reset/settle/fault/step_cycle replay, on random circuits and specs
     rng = random.Random(seed)
     n = random_netlist(rng)
     st = random_stimulus(rng, n)
@@ -207,7 +203,7 @@ def test_run_injection_matches_full_replay(seed, kind):
     for _ in range(4):
         spec = FaultSpec(kind, rng.choice(targets), rng.randrange(st.n_cycles))
         fast = run_injection(sim, st, golden, spec, tree)
-        reference = replay_injection(sim, st, golden, spec, tree)
+        reference = replay_injection(Stepper(n), st, golden, spec, tree)
         assert fast.classification == reference.classification
         assert fast.note == reference.note
         assert fast.effect == reference.effect
@@ -338,15 +334,6 @@ def test_build_specs_orders_targets_then_times(lfsr, lfsr_stimulus):
     assert [s.target for s in specs] == ["cnt.0"] * 3 + ["cnt.1"] * 3
     times = sample_times(cfg, lfsr_stimulus.active_window)
     assert [s.cycle for s in specs] == times * 2
-
-
-def test_exhaustive_specs_cover_the_window(lfsr, lfsr_stimulus):
-    first, last = lfsr_stimulus.active_window
-    specs = exhaustive_specs(lfsr, lfsr_stimulus, FaultKind.SEU)
-    width = last - first + 1
-    assert len(specs) == len(lfsr.ff_names()) * width
-    assert [s.cycle for s in specs[:width]] == list(range(first, last + 1))
-    assert len(set(specs)) == len(specs)
 
 
 def test_run_specs_computes_golden_when_missing(lfsr, lfsr_stimulus, lfsr_golden):

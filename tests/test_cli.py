@@ -16,7 +16,7 @@ from cdnfi import __version__
 from cdnfi.bundled import circuit_path, fit_library_path, golden_path, stimulus_path
 from cdnfi.cli import main
 from cdnfi.clocktree import generate_tree, load_tree, save_tree, tree_stats
-from cdnfi.netlist import FlipFlop, Netlist, save_netlist
+from cdnfi.netlist import FlipFlop, Gate, Netlist, load_netlist, save_netlist
 from test_netlist import TOGGLE_DOC
 
 
@@ -356,6 +356,73 @@ def test_campaign_rejects_string_cone(tmp_path, capsys):
     assert len(err) == 1
     assert err[0].startswith("error:") and "'cone' must be a list" in err[0]
     assert not (out_dir / "log_cdn.csv").exists()
+
+
+@pytest.mark.parametrize("bit", [True, 1.0])
+def test_sim_rejects_non_integer_input_bit(tmp_path, capsys, bit):
+    netlist = tmp_path / "wire.json"
+    save_netlist(Netlist.build("wire", ["a"], ["y"], [Gate("g", "BUF", ("a",), "y")], []), netlist)
+    stimulus = tmp_path / "wire.stimulus.json"
+    stimulus.write_text(json.dumps({
+        "n_cycles": 2, "active_window": [0, 1], "monitors": ["y"],
+        "vectors": {"0": {"a": bit}, "1": {"a": 0}},
+    }))
+    out = tmp_path / "golden.csv"
+    rc = main(["sim", str(netlist), str(stimulus), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and f"'a' value {bit!r} is not a bit" in err[0]
+    assert not out.exists()
+
+
+def test_sim_rejects_boolean_init(tmp_path, capsys):
+    doc = json.loads(TOGGLE_DOC)
+    doc["ffs"][0]["init"] = True
+    netlist, stimulus = write_toggle(tmp_path)
+    netlist.write_text(json.dumps(doc))
+    out = tmp_path / "golden.csv"
+    rc = main(["sim", str(netlist), str(stimulus), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "init value True is not 0 or 1" in err[0]
+    assert not out.exists()
+
+
+def string_cone(path):
+    doc = json.loads(path.read_text())
+    doc["buffers"][0]["cone"] = "lfsr.0"
+    path.write_text(json.dumps(doc))
+
+
+def cone_naming_nobody(path):
+    doc = json.loads(path.read_text())
+    doc["buffers"][-1]["cone"].append("nobody")
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (string_cone, "'cone' must be a list"),
+    (cone_naming_nobody, "'nobody'"),
+])
+def test_campaign_checks_every_tree_before_running(tmp_path, capsys, corrupt, message):
+    net = circuit_path("lfsr_counter")
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    save_tree(generate_tree(load_netlist(net).ff_names(), 3), good)
+    save_tree(generate_tree(load_netlist(net).ff_names(), 3), bad)
+    corrupt(bad)
+    out_dir = tmp_path / "out"
+    rc = main([
+        "campaign", str(net), str(stimulus_path("lfsr_counter")),
+        "--mode", "set", "--tree", str(good), "--tree", str(bad),
+        "--injections-per-target", "1", "--out-dir", str(out_dir),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and message in err[0]
+    assert not out_dir.exists()
 
 
 REPO = Path(__file__).resolve().parent.parent

@@ -14,21 +14,25 @@ from cdnfi.faults import (
 from cdnfi.netlist import FlipFlop, Gate, Netlist
 from cdnfi.simulator import Simulator
 from gencircuit import random_netlist
-from oracles import explicit_pulse_oracle, fault_on_state
+from oracles import Stepper, explicit_pulse_oracle, fault_on_state
 from test_netlist import toggle
 
 
 def settled(netlist, inputs=None):
+    ref = Stepper(netlist)
+    return ref.settle(ref.reset(), inputs or {})
+
+
+def set_on_state(netlist, tree, state, buffer_id):
     sim = Simulator(netlist)
-    return sim.settle(sim.reset(), inputs or {})
+    return fault_on_state(
+        sim, Stepper(netlist), state, lambda v: apply_set(sim, tree, v, buffer_id)
+    )
 
 
-def set_on_state(sim, tree, state, buffer_id):
-    return fault_on_state(sim, state, lambda v: apply_set(sim, tree, v, buffer_id))
-
-
-def seu_on_state(sim, state, ff_name):
-    return fault_on_state(sim, state, lambda v: apply_seu(sim, v, ff_name))
+def seu_on_state(netlist, state, ff_name):
+    sim = Simulator(netlist)
+    return fault_on_state(sim, Stepper(netlist), state, lambda v: apply_seu(sim, v, ff_name))
 
 
 def gated_pair():
@@ -45,7 +49,7 @@ def gated_pair():
 def test_set_copies_d_to_q():
     n = toggle()
     tree = generate_tree(n.ff_names(), 1)
-    state, effect = set_on_state(Simulator(n), tree, settled(n), "b")
+    state, effect = set_on_state(n, tree, settled(n), "b")
     assert state.ff_values["t"] == 1
     assert effect == InjectionEffect(("t",), ("t",), ())
     # the combinational logic is re-settled against the corrupted value
@@ -55,7 +59,7 @@ def test_set_copies_d_to_q():
 def test_set_honors_enable_as_recirculation():
     n = gated_pair()
     tree = generate_tree(n.ff_names(), 2)
-    state, effect = set_on_state(Simulator(n), tree, settled(n, {"dg": 1, "en": 0, "du": 1}), "b")
+    state, effect = set_on_state(n, tree, settled(n, {"dg": 1, "en": 0, "du": 1}), "b")
     assert effect.reached == ("g", "u")
     assert effect.changed == ("u",)
     assert effect.unchanged == ("g",)
@@ -65,7 +69,7 @@ def test_set_honors_enable_as_recirculation():
 def test_set_with_enable_high_latches():
     n = gated_pair()
     tree = generate_tree(n.ff_names(), 2)
-    state, effect = set_on_state(Simulator(n), tree, settled(n, {"dg": 1, "en": 1, "du": 0}), "b")
+    state, effect = set_on_state(n, tree, settled(n, {"dg": 1, "en": 1, "du": 0}), "b")
     assert effect.changed == ("g",)
     assert effect.unchanged == ("u",)
     assert state.ff_values == {"g": 1, "u": 0}
@@ -77,7 +81,7 @@ def test_set_on_recirculating_ffs_changes_nothing():
     n = Netlist.build("recirc", [], ["r0_q"], [], ffs)
     tree = generate_tree(n.ff_names(), 2)
     before = settled(n)
-    state, effect = set_on_state(Simulator(n), tree, before, "b")
+    state, effect = set_on_state(n, tree, before, "b")
     assert effect.changed == ()
     assert effect.unchanged == effect.reached == tuple(n.ff_names())
     assert state == before
@@ -89,7 +93,7 @@ def test_set_updates_cone_simultaneously():
         [FlipFlop("a", "b_q", "a_q", None, 0), FlipFlop("b", "a_q", "b_q", None, 1)],
     )
     tree = generate_tree(n.ff_names(), 2)
-    state, effect = set_on_state(Simulator(n), tree, settled(n), "b")
+    state, effect = set_on_state(n, tree, settled(n), "b")
     assert state.ff_values == {"a": 1, "b": 0}
     assert set(effect.changed) == {"a", "b"}
 
@@ -101,7 +105,7 @@ def test_set_outside_cone_untouched():
     )
     tree = generate_tree(n.ff_names(), 1)
     leaf_of_p = next(b.id for b in tree.leaves() if b.cone == ("p",))
-    state, effect = set_on_state(Simulator(n), tree, settled(n, {"x": 1}), leaf_of_p)
+    state, effect = set_on_state(n, tree, settled(n, {"x": 1}), leaf_of_p)
     assert effect.reached == ("p",)
     assert state.ff_values == {"p": 1, "q": 0}  # q's input is 0 but it was not pulsed
 
@@ -110,29 +114,29 @@ def test_set_unknown_buffer_and_foreign_tree():
     n = toggle()
     tree = generate_tree(n.ff_names(), 1)
     with pytest.raises(UnknownBufferError):
-        set_on_state(Simulator(n), tree, settled(n), "b11")
+        set_on_state(n, tree, settled(n), "b11")
     foreign = generate_tree(["someone.else"], 1)
     with pytest.raises(UnknownFlipFlopError, match="someone.else"):
-        set_on_state(Simulator(n), foreign, settled(n), "b")
+        set_on_state(n, foreign, settled(n), "b")
     with pytest.raises(UnknownFlipFlopError, match="someone.else"):
-        explicit_pulse_oracle(Simulator(n), foreign, settled(n), "b")
+        explicit_pulse_oracle(Stepper(n), foreign, settled(n), "b")
 
 
 def test_seu_flips_and_restores():
     n = toggle()
     before = settled(n)
-    flipped, effect = seu_on_state(Simulator(n), before, "t")
+    flipped, effect = seu_on_state(n, before, "t")
     assert flipped.ff_values["t"] == 1
     assert flipped.net_values["d"] == 0
     assert effect == InjectionEffect(("t",), ("t",), ())
-    restored, _ = seu_on_state(Simulator(n), flipped, "t")
+    restored, _ = seu_on_state(n, flipped, "t")
     assert restored == before
 
 
 def test_seu_unknown_ff():
     n = toggle()
     with pytest.raises(UnknownFlipFlopError, match="nope"):
-        seu_on_state(Simulator(n), settled(n), "nope")
+        seu_on_state(n, settled(n), "nope")
 
 
 @settings(max_examples=50, deadline=None)
@@ -141,11 +145,10 @@ def test_set_accounting_partitions_the_cone(seed):
     rng = random.Random(seed)
     n = random_netlist(rng)
     tree = generate_tree(n.ff_names(), 1, RandomShuffle(seed))
-    sim = Simulator(n)
     state = settled(n, {p: rng.randint(0, 1) for p in n.inputs})
     for buffer_id in tree.buffer_ids():
         cone = tree.cone(buffer_id)
-        _, effect = set_on_state(sim, tree, state, buffer_id)
+        _, effect = set_on_state(n, tree, state, buffer_id)
         assert effect.reached == cone
         assert set(effect.changed) | set(effect.unchanged) == set(cone)
         assert not set(effect.changed) & set(effect.unchanged)
@@ -161,11 +164,11 @@ def test_set_matches_explicit_pulse_oracle(seed):
     rng = random.Random(seed)
     n = random_netlist(rng)
     tree = generate_tree(n.ff_names(), 1, RandomShuffle(seed))
-    sim = Simulator(n)
+    ref = Stepper(n)
     state = settled(n, {p: rng.randint(0, 1) for p in n.inputs})
     for buffer_id in tree.buffer_ids():
-        fast, _ = set_on_state(sim, tree, state, buffer_id)
-        assert fast == explicit_pulse_oracle(sim, tree, state, buffer_id)
+        fast, _ = set_on_state(n, tree, state, buffer_id)
+        assert fast == explicit_pulse_oracle(ref, tree, state, buffer_id)
 
 
 @settings(max_examples=40, deadline=None)
@@ -177,8 +180,8 @@ def test_second_pulse_only_moves_feedback_victims(seed):
     n = random_netlist(rng)
     tree = generate_tree(n.ff_names(), 1)
     state = settled(n, {p: rng.randint(0, 1) for p in n.inputs})
-    mid, first = set_on_state(Simulator(n), tree, state, "b")
-    _, second = set_on_state(Simulator(n), tree, mid, "b")
+    mid, first = set_on_state(n, tree, state, "b")
+    _, second = set_on_state(n, tree, mid, "b")
     assert set(second.changed) <= set(first.reached)
     if not first.changed:
         assert not second.changed
@@ -186,5 +189,5 @@ def test_second_pulse_only_moves_feedback_victims(seed):
 
 def test_seu_does_not_disturb_others():
     n = gated_pair()
-    state, _ = seu_on_state(Simulator(n), settled(n, {"dg": 1, "en": 1, "du": 1}), "g")
+    state, _ = seu_on_state(n, settled(n, {"dg": 1, "en": 1, "du": 1}), "g")
     assert state.ff_values == {"g": 1, "u": 0}

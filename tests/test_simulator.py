@@ -14,9 +14,9 @@ from cdnfi.simulator import (
     StimulusError,
     parse_stimulus,
     serialize_stimulus,
-    validate_stimulus,
 )
 from gencircuit import random_netlist, random_stimulus
+from oracles import Stepper
 from test_netlist import counter2, toggle
 
 
@@ -31,7 +31,7 @@ def test_reset_holds_init_values():
         [Gate("g", "BUF", ("b0_q",), "x")],
         [FlipFlop("b0", "x", "b0_q", None, 1), FlipFlop("b1", "x", "b1_q", None, 0)],
     )
-    state = Simulator(n).reset()
+    state = Stepper(n).reset()
     assert state.cycle == 0
     assert state.ff_values == {"b0": 1, "b1": 0}
     assert state.net_values == {}
@@ -44,12 +44,8 @@ def test_toggle_trace_post_edge():
 
 def test_counter_sequence_matches_arithmetic_oracle():
     n = counter2()
-    sim = Simulator(n)
-    state = sim.reset()
-    seen = []
-    for _ in range(6):
-        state = sim.step_cycle(state, {})
-        seen.append(state.ff_values["b1"] * 2 + state.ff_values["b0"])
+    trace = Simulator(n).run(autonomous_stimulus(n, 6, monitors=("b1_q", "b0_q")))
+    seen = [b1 * 2 + b0 for b1, b0 in trace.rows]
     # independent oracle: plain integer counting, wrapping at 4
     assert seen == [(k + 1) % 4 for k in range(6)]
 
@@ -64,9 +60,8 @@ def test_two_bit_counter_from_mixed_init():
         FlipFlop("b1", "b1_d", "b1_q", None, 0),
     ]
     n = Netlist.build("counter2b", [], ["b0_q", "b1_q"], gates, ffs)
-    sim = Simulator(n)
-    state = sim.step_cycle(sim.reset(), {})
-    assert (state.ff_values["b1"], state.ff_values["b0"]) == (1, 0)
+    trace = Simulator(n).run(autonomous_stimulus(n, 1, monitors=("b1_q", "b0_q")))
+    assert trace.rows == ((1, 0),)
 
 
 def test_pass_through_tracks_inputs():
@@ -82,21 +77,16 @@ def test_enable_low_recirculates():
         "hold", ["d", "en"], ["q"], [],
         [FlipFlop("r", "d", "q", "en", 0)],
     )
-    sim = Simulator(n)
-    state = sim.reset()
-    state = sim.step_cycle(state, {"d": 1, "en": 0})
-    assert state.ff_values["r"] == 0
-    state = sim.step_cycle(state, {"d": 1, "en": 1})
-    assert state.ff_values["r"] == 1
-    state = sim.step_cycle(state, {"d": 0, "en": 0})
-    assert state.ff_values["r"] == 1
+    vectors = ({"d": 1, "en": 0}, {"d": 1, "en": 1}, {"d": 0, "en": 0})
+    trace = Simulator(n).run(Stimulus(3, vectors, (0, 2), ("q",)))
+    assert trace.rows == ((0,), (1,), (1,))
 
 
 def test_step_does_not_mutate_input_state():
-    sim = Simulator(toggle())
-    s0 = sim.reset()
+    ref = Stepper(toggle())
+    s0 = ref.reset()
     before = dict(s0.ff_values)
-    sim.step_cycle(s0, {})
+    ref.step_cycle(s0, {})
     assert s0.ff_values == before and s0.cycle == 0
 
 
@@ -106,24 +96,34 @@ def test_ff_update_is_simultaneous():
         "swap", [], ["a_q", "b_q"], [],
         [FlipFlop("a", "b_q", "a_q", None, 0), FlipFlop("b", "a_q", "b_q", None, 1)],
     )
-    sim = Simulator(n)
-    state = sim.step_cycle(sim.reset(), {})
-    assert (state.ff_values["a"], state.ff_values["b"]) == (1, 0)
-    state = sim.step_cycle(state, {})
-    assert (state.ff_values["a"], state.ff_values["b"]) == (0, 1)
+    trace = Simulator(n).run(autonomous_stimulus(n, 2, monitors=("a_q", "b_q")))
+    assert trace.rows == ((1, 0), (0, 1))
+
+
+def wire():
+    return Netlist.build("wire", ["a"], ["y"], [Gate("g", "BUF", ("a",), "y")], [])
 
 
 def test_missing_input_named():
-    n = Netlist.build("wire", ["a"], ["y"], [Gate("g", "BUF", ("a",), "y")], [])
     with pytest.raises(MissingInputError, match="'a'"):
-        Simulator(n).step_cycle(Simulator(n).reset(), {})
+        Simulator(wire()).run(Stimulus(1, ({},), (0, 0), ("y",)))
 
 
 def test_unknown_input_rejected():
-    n = Netlist.build("wire", ["a"], ["y"], [Gate("g", "BUF", ("a",), "y")], [])
-    sim = Simulator(n)
     with pytest.raises(SimulationError, match="bogus"):
-        sim.step_cycle(sim.reset(), {"a": 1, "bogus": 0})
+        Simulator(wire()).run(Stimulus(1, ({"a": 1, "bogus": 0},), (0, 0), ("y",)))
+
+
+@pytest.mark.parametrize("bit", [True, 1.0, 2, "1", None])
+def test_non_bit_input_rejected(bit):
+    stimulus = Stimulus(2, ({"a": 0}, {"a": bit}), (0, 1), ("y",))
+    with pytest.raises(SimulationError, match=r"cycle 1 input 'a' value .* is not a bit"):
+        Simulator(wire()).run(stimulus)
+
+
+def test_one_vector_per_cycle_required():
+    with pytest.raises(StimulusError, match="1 input vectors for 2 cycles"):
+        Simulator(wire()).run(Stimulus(2, ({"a": 0},), (0, 1), ("y",)))
 
 
 def test_monitor_must_be_output():
@@ -172,42 +172,39 @@ def test_forced_low_enable_freezes_ff(seed):
         {p: (0 if any(f.enable == p for f in gated) else rng.randint(0, 1)) for p in n.inputs}
         for _ in range(n_cycles)
     )
-    sim = Simulator(n)
-    state = sim.reset()
-    for cycle in range(n_cycles):
-        state = sim.step_cycle(state, vectors[cycle])
-        for f in gated:
-            assert state.ff_values[f.name] == f.init
+    qs = tuple(f.q for f in gated)
+    watched = Netlist.build(n.name, n.inputs, qs, n.gates, n.flipflops)
+    trace = Simulator(watched).run(Stimulus(n_cycles, vectors, (0, n_cycles - 1), qs))
+    assert trace.rows == (tuple(f.init for f in gated),) * n_cycles
 
 
 def test_settle_assigns_every_net_once():
     for seed in range(25):
         n = random_netlist(random.Random(seed))
-        sim = Simulator(n)
-        state = sim.settle(sim.reset(), {p: 0 for p in n.inputs})
+        ref = Stepper(n)
+        state = ref.settle(ref.reset(), {p: 0 for p in n.inputs})
         assert set(state.net_values) == set(n.nets)
         outs = [g.output for g in n.gates]
         assert len(outs) == len(set(outs))
 
 
-def step_cycle_replay(sim, stimulus):
-    """Post-edge states and monitor rows of a reset/step_cycle replay."""
-    state = sim.reset()
+def step_cycle_replay(ref, stimulus):
+    """Post-edge states and monitor rows of a reference stepper replay."""
+    state = ref.reset()
     states, rows = [], []
     for inputs in stimulus.input_vectors:
-        state = sim.step_cycle(state, inputs)
+        state = ref.step_cycle(state, inputs)
         states.append(state)
         rows.append(tuple(state.net_values[m] for m in stimulus.monitors))
     return states, GoldenTrace(stimulus.monitors, tuple(rows))
 
 
 def test_run_matches_step_cycle_replay():
-    sim = Simulator(toggle())
     stimulus = autonomous_stimulus(toggle(), 3)
-    states, replayed = step_cycle_replay(sim, stimulus)
+    states, replayed = step_cycle_replay(Stepper(toggle()), stimulus)
     assert [s.cycle for s in states] == [1, 2, 3]
     assert [s.ff_values["t"] for s in states] == [1, 0, 1]
-    assert sim.run(stimulus) == replayed
+    assert Simulator(toggle()).run(stimulus) == replayed
 
 
 @settings(max_examples=40, deadline=None)
@@ -216,8 +213,19 @@ def test_run_matches_step_cycle_replay_on_random_circuits(seed):
     rng = random.Random(seed)
     n = random_netlist(rng)
     stimulus = random_stimulus(rng, n)
-    sim = Simulator(n)
-    assert sim.run(stimulus) == step_cycle_replay(sim, stimulus)[1]
+    assert Simulator(n).run(stimulus) == step_cycle_replay(Stepper(n), stimulus)[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_run_matches_reference_stepper_on_every_net(seed):
+    # the kernel against the stepper, which shares no code with it; every
+    # net is monitored, so a wrong gate cannot hide behind the outputs
+    rng = random.Random(seed)
+    n = random_netlist(rng, max_gates=30)
+    n = Netlist.build(n.name, n.inputs, sorted(n.nets), n.gates, n.flipflops)
+    stimulus = random_stimulus(rng, n)
+    assert Simulator(n).run(stimulus) == step_cycle_replay(Stepper(n), stimulus)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +264,10 @@ def test_stimulus_round_trip(crc8_stimulus, lfsr_stimulus):
 def test_validate_stimulus_covers_inputs():
     n = Netlist.build("wire", ["a"], ["y"], [Gate("g", "BUF", ("a",), "y")], [])
     good = Stimulus(2, ({"a": 0}, {"a": 1}), (0, 1), ("y",))
-    validate_stimulus(n, good)
+    assert Simulator(n).run(good).rows == ((0,), (1,))
     bad = Stimulus(2, ({"a": 0}, {}), (0, 1), ("y",))
     with pytest.raises(MissingInputError, match="cycle 1"):
-        validate_stimulus(n, bad)
+        Simulator(n).run(bad)
 
 
 def test_trace_csv_round_trip():
