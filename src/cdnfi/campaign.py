@@ -6,9 +6,10 @@ combinational settle, before the edge), and compares the monitored trace to
 the golden trace from the injection cycle onward. Any difference is a
 functional failure; otherwise the fault was masked. Injection times are drawn
 uniformly (with replacement) from the stimulus active window by a seeded
-generator, so a campaign is a pure function of its inputs and seed.
-Aggregation is written to be independent of execution order, which keeps
-multi-worker runs and reruns byte-identical.
+generator, so a campaign is a pure function of its inputs and seed. A result
+holds one ``InjectionRecord`` per injection in list order, the row its log and
+JSON write; its tallies are a function of those records (``tally_records``),
+which keeps multi-worker runs and reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -69,6 +71,26 @@ class InjectionOutcome:
     note: Optional[str] = None
 
 
+@dataclass(frozen=True)
+class InjectionRecord:
+    """One injection as the log and the result JSON write it."""
+
+    kind: FaultKind
+    target: str
+    cycle: int
+    n_reached: int
+    n_changed: int
+    classification: Classification
+
+    def row(self) -> list:
+        """Field values in ``RECORD_FIELDS`` order, enums as their values."""
+        values = (getattr(self, name) for name in RECORD_FIELDS)
+        return [v.value if isinstance(v, Enum) else v for v in values]
+
+
+RECORD_FIELDS = tuple(f.name for f in fields(InjectionRecord))
+
+
 @dataclass
 class Tally:
     """Injection counters of a whole campaign or of one of its targets."""
@@ -79,9 +101,6 @@ class Tally:
     unchanged: int = 0
     failures: int = 0
 
-    def __add__(self, other: "Tally") -> "Tally":
-        return Tally(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
-
 
 @dataclass
 class FFTally:
@@ -89,6 +108,12 @@ class FFTally:
     times_changed_and_failed: int = 0
     times_upset: int = 0
     times_upset_and_failed: int = 0
+
+    def counts(self, mode: FaultKind) -> tuple[int, int]:
+        """(times disturbed, times disturbed and failed) under one fault model."""
+        if mode is FaultKind.SET:
+            return self.times_changed, self.times_changed_and_failed
+        return self.times_upset, self.times_upset_and_failed
 
 
 @dataclass
@@ -98,7 +123,7 @@ class CampaignResult:
     seed: Optional[int]
     injections_per_target: Optional[int]
     shared_time_list: Optional[bool]
-    outcomes: tuple[InjectionOutcome, ...]
+    records: tuple[InjectionRecord, ...]
     totals: Tally
     per_target: dict[str, Tally]
     per_ff: dict[str, FFTally]
@@ -266,10 +291,8 @@ def run_specs(
     if len(kinds) > 1:
         raise CampaignError("an injection list must not mix fault kinds")
     mode = kinds.pop() if kinds else (config.mode if config else FaultKind.SET)
-    # targets in first-seen spec order
-    per_target = {s.target: Tally() for s in specs}
     if mode is FaultKind.SET and tree is not None:
-        check_cones(netlist, tree, per_target)
+        check_cones(netlist, tree, dict.fromkeys(s.target for s in specs))
     if golden is None:
         golden = sim.run(stimulus)
 
@@ -285,26 +308,21 @@ def run_specs(
         outcomes = [run_injection(sim, stimulus, golden, s, tree) for s in specs]
 
     # aggregation depends only on the spec list order, never completion order
-    per_ff = {name: FFTally() for name in netlist.ff_names()}
-    for out in outcomes:
-        tally = per_target[out.spec.target]
-        failed = out.classification is Classification.FUNCTIONAL_FAILURE
-        tally.injected += 1
-        tally.reached += len(out.effect.reached)
-        tally.changed += len(out.effect.changed)
-        tally.unchanged += len(out.effect.unchanged)
-        if failed:
-            tally.failures += 1
-        if mode is FaultKind.SET:
-            for name in out.effect.changed:
-                per_ff[name].times_changed += 1
-                if failed:
-                    per_ff[name].times_changed_and_failed += 1
-        else:
-            for name in out.effect.changed:
-                per_ff[name].times_upset += 1
-                if failed:
-                    per_ff[name].times_upset_and_failed += 1
+    records = tuple(
+        InjectionRecord(o.spec.kind, o.spec.target, o.spec.cycle, o.effect.reached,
+                        len(o.effect.changed), o.classification)
+        for o in outcomes
+    )
+    per_target, totals = tally_records(records)
+    # per flip-flop: the injections that changed it, and those that also failed
+    hits = Counter(name for o in outcomes for name in o.effect.changed)
+    fails = Counter(name for o in outcomes if o.classification is Classification.FUNCTIONAL_FAILURE
+                    for name in o.effect.changed)
+    per_ff = {
+        name: FFTally(hits[name], fails[name], 0, 0) if mode is FaultKind.SET
+        else FFTally(0, 0, hits[name], fails[name])
+        for name in netlist.ff_names()
+    }
 
     return CampaignResult(
         netlist_name=netlist.name,
@@ -312,12 +330,27 @@ def run_specs(
         seed=config.seed if config else None,
         injections_per_target=config.injections_per_target if config else None,
         shared_time_list=config.shared_time_list if config else None,
-        outcomes=tuple(outcomes),
-        totals=sum(per_target.values(), Tally()),
+        records=records,
+        totals=totals,
         per_target=per_target,
         per_ff=per_ff,
         label=label,
     )
+
+
+def tally_records(records: Iterable[InjectionRecord]) -> tuple[dict[str, Tally], Tally]:
+    """Per-target tallies, in first-seen target order, and their sum."""
+    per_target: dict[str, Tally] = {}
+    totals = Tally()
+    for r in records:
+        for tally in (per_target.setdefault(r.target, Tally()), totals):
+            tally.injected += 1
+            tally.reached += r.n_reached
+            tally.changed += r.n_changed
+            tally.unchanged += r.n_reached - r.n_changed
+            if r.classification is Classification.FUNCTIONAL_FAILURE:
+                tally.failures += 1
+    return per_target, totals
 
 
 def run_campaign(
@@ -356,16 +389,8 @@ def log_to_csv(result: CampaignResult) -> str:
     buf = io.StringIO()
     buf.write("# " + json.dumps(_config_header(result), sort_keys=True) + "\n")
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["kind", "target", "cycle", "n_reached", "n_changed", "classification"])
-    for out in result.outcomes:
-        w.writerow([
-            out.spec.kind.value,
-            out.spec.target,
-            out.spec.cycle,
-            len(out.effect.reached),
-            len(out.effect.changed),
-            out.classification.value,
-        ])
+    w.writerow(RECORD_FIELDS)
+    w.writerows(r.row() for r in result.records)
     return buf.getvalue()
 
 
@@ -373,30 +398,35 @@ def result_to_json(result: CampaignResult) -> str:
     doc = {
         "config": _config_header(result),
         "totals": vars(result.totals),
-        "per_target": [
-            {"target": target, **vars(t)} for target, t in result.per_target.items()
-        ],
+        "per_target": [{"target": t, **vars(tally)} for t, tally in result.per_target.items()],
         "per_ff": {name: vars(f) for name, f in result.per_ff.items()},
-        "records": [
-            {
-                "kind": out.spec.kind.value,
-                "target": out.spec.target,
-                "cycle": out.spec.cycle,
-                "n_reached": len(out.effect.reached),
-                "n_changed": len(out.effect.changed),
-                "classification": out.classification.value,
-            }
-            for out in result.outcomes
-        ],
+        "records": [dict(zip(RECORD_FIELDS, r.row())) for r in result.records],
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def result_from_json(text: str) -> CampaignResult:
-    """Rebuild the aggregate view of a campaign from its structured log.
+def _is_count(n) -> bool:
+    return type(n) is int and n >= 0
 
-    Per-injection effects come back as counts only, which is all the report
-    stage needs; the full flip-flop membership of each effect is not logged.
+
+def _record_from_row(row: dict, mode: FaultKind) -> InjectionRecord:
+    values = {name: row[name] for name in RECORD_FIELDS}
+    values.update(kind=FaultKind(values["kind"]), classification=Classification(values["classification"]))
+    r = InjectionRecord(**values)
+    if not all(map(_is_count, (r.cycle, r.n_reached, r.n_changed))):
+        raise CampaignError(f"record {row} holds a count that is not a non-negative integer")
+    if not isinstance(r.target, str) or r.kind is not mode or r.n_changed > r.n_reached:
+        raise CampaignError(f"record {row} needs kind '{mode.value}', a str target, n_changed <= n_reached")
+    return r
+
+
+def result_from_json(text: str) -> CampaignResult:
+    """Rebuild a campaign result from its structured log, exactly as written.
+
+    The document must agree with itself: every count is a non-negative
+    integer, no record changes more flip-flops than it reached,
+    ``per_target`` is the tally of the records, ``totals`` is its sum, and
+    the ``per_ff`` counters of the result's mode sum to ``totals.changed``.
     """
     try:
         doc = json.loads(text)
@@ -405,39 +435,31 @@ def result_from_json(text: str) -> CampaignResult:
     try:
         cfg = doc["config"]
         mode = FaultKind(cfg["mode"])
-        totals = Tally(**doc["totals"])
-        per_target = {
-            t["target"]: Tally(
-                t["injected"], t["reached"], t["changed"], t["unchanged"], t["failures"],
-            )
-            for t in doc["per_target"]
-        }
+        records = tuple(_record_from_row(row, mode) for row in doc["records"])
+        per_target, totals = tally_records(records)
+        if doc["per_target"] != [{"target": t, **vars(tally)} for t, tally in per_target.items()]:
+            raise CampaignError("per_target disagrees with the tally of the records")
+        if doc["totals"] != vars(totals):
+            raise CampaignError(f"totals {doc['totals']} are not the sum of per_target {vars(totals)}")
         per_ff = {name: FFTally(**f) for name, f in doc["per_ff"].items()}
-        outcomes = tuple(
-            InjectionOutcome(
-                FaultSpec(FaultKind(r["kind"]), r["target"], r["cycle"]),
-                InjectionEffect(
-                    reached=("?",) * r["n_reached"],
-                    changed=("?",) * r["n_changed"],
-                    unchanged=("?",) * (r["n_reached"] - r["n_changed"]),
-                ),
-                Classification(r["classification"]),
-            )
-            for r in doc["records"]
-        )
+        if not all(_is_count(n) for f in per_ff.values() for n in vars(f).values()):
+            raise CampaignError("per_ff holds a count that is not a non-negative integer")
+        changed = sum(f.counts(mode)[0] for f in per_ff.values())
+        if changed != totals.changed:
+            raise CampaignError(f"per_ff counts {changed} changes, totals.changed is {totals.changed}")
         return CampaignResult(
             netlist_name=cfg["netlist"],
             mode=mode,
             seed=cfg["seed"],
             injections_per_target=cfg["injections_per_target"],
             shared_time_list=cfg["shared_time_list"],
-            outcomes=outcomes,
+            records=records,
             totals=totals,
             per_target=per_target,
             per_ff=per_ff,
             label=cfg.get("label", ""),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise CampaignError(
             f"not a campaign result document (bad or missing field: {e})"
         ) from e

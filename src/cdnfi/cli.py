@@ -216,8 +216,8 @@ def _cmd_campaign(args) -> int:
     netlist_path = _require_file(args.netlist, "netlist")
     stimulus_path = _require_file(args.stimulus, "stimulus")
     mode = FaultKind(args.mode)
-    if mode is FaultKind.SET and not args.tree:
-        raise UsageError("set mode needs at least one --tree")
+    if (mode is FaultKind.SET) != bool(args.tree):
+        raise UsageError("set mode needs at least one --tree, and seu mode takes none")
     tree_paths = [_require_file(t, "clock tree") for t in args.tree]
     input_files = [netlist_path, stimulus_path] + list(tree_paths)
 
@@ -225,7 +225,7 @@ def _cmd_campaign(args) -> int:
     sim = Simulator(netlist)
     stimulus = load_stimulus(stimulus_path)
     # every tree is loaded and checked before anything is written or run
-    trees = [load_tree(p) for p in tree_paths] if mode is FaultKind.SET else []
+    trees = [load_tree(p) for p in tree_paths]
     for tree in trees:
         check_cones(netlist, tree, tree.buffer_ids())
     out_dir = Path(args.out_dir)
@@ -255,18 +255,12 @@ def _cmd_campaign(args) -> int:
         shared_time_list=not args.per_target_times,
     )
 
-    results = []
-    if mode is FaultKind.SET:
-        for path, tree in zip(tree_paths, trees):
-            results.append(run_campaign(
-                sim, stimulus, cfg, tree=tree, golden=golden,
-                workers=args.workers, label=path.stem,
-            ))
-    else:
-        results.append(run_campaign(
-            sim, stimulus, cfg, golden=golden,
-            workers=args.workers, label="seu",
-        ))
+    # one campaign per tree in set mode, one treeless campaign in seu mode
+    runs = [(tree, path.stem) for path, tree in zip(tree_paths, trees)] or [(None, "seu")]
+    results = [
+        run_campaign(sim, stimulus, cfg, tree=tree, golden=golden, workers=args.workers, label=label)
+        for tree, label in runs
+    ]
 
     for result in results:
         log_path = out_dir / f"log_{result.label}.csv"
@@ -276,13 +270,9 @@ def _cmd_campaign(args) -> int:
         result_path.write_text(result_to_json(result), encoding="utf-8")
         outputs.append(result_path)
 
-    buffer_count = None
-    if mode is FaultKind.SET and results:
-        buffer_count = max(len(r.per_target) for r in results)
     outputs.extend(emit(
         results, out_dir, fmt=args.format, fit_library=fit_library,
         top_fraction=args.top_fraction,
-        ff_count=len(netlist.flipflops), buffer_count=buffer_count,
     ))
     _write_manifest(
         out_dir / "manifest.json", "campaign",
@@ -308,9 +298,7 @@ def _cmd_campaign(args) -> int:
 
 def _cmd_report(args) -> int:
     result_paths = [_require_file(r, "campaign result") for r in args.results]
-    results = []
-    for path in result_paths:
-        results.append(result_from_json(path.read_text(encoding="utf-8")))
+    results = [result_from_json(p.read_text(encoding="utf-8")) for p in result_paths]
     fit_library: Optional[FitLibrary] = None
     input_files = list(result_paths)
     if args.fit_library:

@@ -5,7 +5,9 @@ flip-flop in that buffer's cone: ``Simulator.clock`` latches the cone, each
 flip-flop copying its input value to its output (a disabled one keeps its
 stored value). An upset flips one flip-flop's stored value in place. Both
 write Q slots only; ``Simulator.run`` then re-settles the combinational
-logic so the rest of the cycle observes the corrupted values.
+logic so the rest of the cycle observes the corrupted values. Each returns
+an ``InjectionEffect``: the number of flip-flops reached, and the names of
+those whose value changed, which the per-flip-flop tallies need.
 """
 
 from __future__ import annotations
@@ -37,15 +39,15 @@ class FaultSpec:
 class InjectionEffect:
     """Bookkeeping for one injection.
 
-    ``reached`` lists every flip-flop the fault could touch, ``changed`` the
-    ones whose stored value actually moved, ``unchanged`` the rest. The two
-    always partition ``reached``; a flip-flop whose input equals its output
-    is reached but unchanged, it is never dropped from the accounting.
+    ``reached`` counts the flip-flops the fault could touch, ``changed``
+    names the ones whose stored value actually moved, in cone order. The
+    other ``reached - len(changed)`` are unchanged: a flip-flop whose input
+    equals its output is reached but unchanged, never dropped from the
+    accounting.
     """
 
-    reached: tuple[str, ...]
+    reached: int
     changed: tuple[str, ...]
-    unchanged: tuple[str, ...]
 
 
 def apply_set(
@@ -70,12 +72,8 @@ def apply_set(
         ) from None
     before = [v[q] for q, _, _ in pins]
     sim.clock(v, pins)
-    moved = [v[q] != bit for (q, _, _), bit in zip(pins, before)]
-    return InjectionEffect(
-        reached=tuple(cone),
-        changed=tuple(name for name, m in zip(cone, moved) if m),
-        unchanged=tuple(name for name, m in zip(cone, moved) if not m),
-    )
+    changed = tuple(name for name, (q, _, _), bit in zip(cone, pins, before) if v[q] != bit)
+    return InjectionEffect(reached=len(cone), changed=changed)
 
 
 def apply_seu(sim: Simulator, v: list[int], ff_name: str) -> InjectionEffect:
@@ -87,4 +85,4 @@ def apply_seu(sim: Simulator, v: list[int], ff_name: str) -> InjectionEffect:
             f"no flip-flop '{ff_name}' in netlist '{sim.netlist.name}'"
         ) from None
     v[q] ^= 1
-    return InjectionEffect(reached=(ff_name,), changed=(ff_name,), unchanged=())
+    return InjectionEffect(reached=1, changed=(ff_name,))

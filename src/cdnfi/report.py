@@ -93,32 +93,28 @@ class VulnerabilityRanking:
 
 def rank_ffs(
     result: CampaignResult,
-    mode: Optional[FaultKind] = None,
     fraction: Rational = Fraction(1, 20),
 ) -> VulnerabilityRanking:
     """Most vulnerable flip-flops of a campaign.
 
     A flip-flop's rate is its failures among the injections that actually
-    disturbed it: changed-and-failed over changed for clock transients,
-    upset-and-failed over upset for upsets. A flip-flop never disturbed gets
-    rate zero. The list keeps the top floor(fraction * ff_count) entries, at
-    least one; ties break by name so rankings are reproducible.
+    disturbed it: changed-and-failed over changed in a clock-transient
+    campaign, upset-and-failed over upset in an upset campaign. A flip-flop
+    never disturbed gets rate zero. The list keeps the top
+    floor(fraction * ff_count) entries, at least one; ties break by name so
+    rankings are reproducible.
     """
-    mode = mode if mode is not None else result.mode
     frac = as_fraction(fraction)
     if not (0 < frac <= 1):
         raise ReportError(f"ranking fraction must be in (0, 1], got {fraction}")
     entries = []
     for name, tally in result.per_ff.items():
-        if mode is FaultKind.SET:
-            num, den = tally.times_changed_and_failed, tally.times_changed
-        else:
-            num, den = tally.times_upset_and_failed, tally.times_upset
+        den, num = tally.counts(result.mode)
         rate = Fraction(num, den) if den else Fraction(0)
         entries.append(RankEntry(name, rate, num, den))
     entries.sort(key=lambda e: (-e.rate, e.name))
     count = max(1, int(frac * len(entries)))
-    return VulnerabilityRanking(mode, frac, tuple(entries[:count]))
+    return VulnerabilityRanking(result.mode, frac, tuple(entries[:count]))
 
 
 def overlap(a: Iterable[str], b: Iterable[str]) -> Fraction:
@@ -229,9 +225,7 @@ def _result_fdr(result: CampaignResult) -> Fraction:
 
 
 def _per_injection(value: int, injected: int) -> str:
-    if injected == 0:
-        return render_rate(0)
-    return render_rate(Fraction(value, injected))
+    return render_rate(Fraction(value, injected) if injected else 0)
 
 
 def emit(
@@ -241,7 +235,6 @@ def emit(
     fit_library: Optional[FitLibrary] = None,
     top_fraction: Rational = Fraction(1, 20),
     ff_count: Optional[int] = None,
-    buffer_count: Optional[int] = None,
 ) -> list[Path]:
     """Write the report bundle for one or more campaigns.
 
@@ -249,6 +242,8 @@ def emit(
     ranking per campaign, the pairwise ranking overlap matrix when several
     campaigns are given, failure-spread statistics across campaigns, a FIT
     combination table when a library is supplied, and a plain-text summary.
+    The FIT table counts the flip-flops of the first upset campaign (unless
+    ``ff_count`` is given) and the targets of the largest transient campaign.
     Output bytes depend only on the inputs.
     """
     if fmt not in ("csv", "text"):
@@ -300,7 +295,7 @@ def emit(
             rows.append([
                 label, target, t.injected, t.reached, t.changed,
                 t.unchanged, t.failures,
-                render_rate(Fraction(t.failures, t.injected) if t.injected else 0),
+                _per_injection(t.failures, t.injected),
             ])
     table(
         "per_target_fdr",
@@ -365,11 +360,7 @@ def emit(
             rows.append(s)
         if set_:
             mean = sum((_result_fdr(r) for r in set_), Fraction(0)) / len(set_)
-            count = (
-                buffer_count
-                if buffer_count is not None
-                else max(len(r.per_target) for r in set_)
-            )
+            count = max(len(r.per_target) for r in set_)
             s = combine_fit(count, mean, fit_library.get("clock_buffer"), "clock_buffer")
             rows.append(s)
         table(

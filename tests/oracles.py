@@ -167,15 +167,14 @@ def replay_injection(
                 state = explicit_pulse_oracle(ref, tree, mid, spec.target)
                 cone = tree.cone(spec.target)
                 effect = InjectionEffect(
-                    reached=cone,
+                    reached=len(cone),
                     changed=tuple(n for n in cone if state.ff_values[n] != mid.ff_values[n]),
-                    unchanged=tuple(n for n in cone if state.ff_values[n] == mid.ff_values[n]),
                 )
             else:
                 flipped = dict(mid.ff_values)
                 flipped[spec.target] ^= 1
                 state = ref.settle(SimState(mid.cycle, flipped, {}), inputs)
-                effect = InjectionEffect((spec.target,), (spec.target,), ())
+                effect = InjectionEffect(1, (spec.target,))
         state = ref.step_cycle(state, inputs)
         rows.append(tuple(state.net_values[m] for m in stimulus.monitors))
     note = compare_traces(golden, GoldenTrace(stimulus.monitors, tuple(rows)), spec.cycle)

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from cdnfi.bundled import circuit_path
-from cdnfi.campaign import CampaignConfig, Classification, run_campaign, run_specs
+from cdnfi.campaign import CampaignConfig, Classification, run_campaign, run_specs, tally_records
 from cdnfi.cli import main as cli_main
 from cdnfi.clocktree import ByName, RandomShuffle, generate_tree, tree_stats
 from cdnfi.faults import FaultKind, FaultSpec, apply_set
@@ -83,12 +83,18 @@ def test_criterion_03_accounting_identity(lfsr, lfsr_stimulus, lfsr_golden):
                 inputs = {p: rng.randint(0, 1) for p in netlist.inputs}
                 state = ref.settle(ref.reset(), inputs)
                 for buffer_id in tree.buffer_ids():
+                    cone = tree.cone(buffer_id)
                     _, effect = fault_on_state(
                         sim, ref, state, lambda v: apply_set(sim, tree, v, buffer_id)
                     )
-                    assert len(effect.reached) == len(effect.changed) + len(effect.unchanged)
-                    assert set(effect.reached) == set(effect.changed) | set(effect.unchanged)
-                    assert not set(effect.changed) & set(effect.unchanged)
+                    # unchanged is the cone minus changed, so the identity
+                    # holds when changed lies in the cone and reached counts it
+                    assert set(effect.changed) <= set(cone)
+                    assert len(set(effect.changed)) == len(effect.changed)
+                    assert effect.reached == len(cone)
+                    pulsed = explicit_pulse_oracle(ref, tree, state, buffer_id)
+                    moved = {n for n in cone if pulsed.ff_values[n] != state.ff_values[n]}
+                    assert set(effect.changed) == moved
                     cases += 1
         assert cases >= 1000, f"only {cases} randomized injections checked"
 
@@ -97,8 +103,10 @@ def test_criterion_03_accounting_identity(lfsr, lfsr_stimulus, lfsr_golden):
         cfg = CampaignConfig(FaultKind.SET, 5, seed=29)
         result = run_campaign(Simulator(lfsr), lfsr_stimulus, cfg, tree=tree, golden=lfsr_golden)
         assert result.totals.reached == result.totals.changed + result.totals.unchanged
-        for out in result.outcomes:
-            assert len(out.effect.reached) == len(out.effect.changed) + len(out.effect.unchanged)
+        for record in result.records:
+            assert record.n_reached == len(tree.cone(record.target))
+            assert 0 <= record.n_changed <= record.n_reached
+        assert (result.per_target, result.totals) == tally_records(result.records)
         for tally in result.per_target.values():
             assert tally.reached == tally.changed + tally.unchanged
 
@@ -241,9 +249,9 @@ def test_criterion_09_exhaustive_upsets_match_enumeration(crc8, crc8_stimulus, c
         ]
         result = run_specs(Simulator(crc8), crc8_stimulus, specs, golden=crc8_golden)
         campaign_failures = {
-            (out.spec.target, out.spec.cycle)
-            for out in result.outcomes
-            if out.classification is Classification.FUNCTIONAL_FAILURE
+            (record.target, record.cycle)
+            for record in result.records
+            if record.classification is Classification.FUNCTIONAL_FAILURE
         }
         assert campaign_failures == oracle_failures
         assert result.totals.injected == len(crc8.ff_names()) * (last - first + 1)
@@ -262,6 +270,7 @@ def test_criterion_09_exhaustive_upsets_match_enumeration(crc8, crc8_stimulus, c
         bank_tree = generate_tree(bank.ff_names(), 2)
         bank_cfg = CampaignConfig(FaultKind.SET, 4, seed=1)
         bank_result = run_campaign(Simulator(bank), bank_stim, bank_cfg, tree=bank_tree)
-        assert all(out.effect.changed == () for out in bank_result.outcomes)
+        assert all(record.n_changed == 0 for record in bank_result.records)
+        assert bank_result.totals.changed == 0
         assert bank_result.totals.failures == 0
         assert fdr(bank_result.totals.failures, bank_result.totals.injected) == 0

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as hst
 
 from cdnfi import campaign
 from cdnfi.campaign import (
+    RECORD_FIELDS,
     CampaignConfig,
     CampaignError,
     Classification,
@@ -19,6 +21,7 @@ from cdnfi.campaign import (
     run_injection,
     run_specs,
     sample_times,
+    tally_records,
 )
 from cdnfi.clocktree import ByName, RandomShuffle, generate_tree
 from cdnfi.faults import FaultKind, FaultSpec
@@ -163,7 +166,7 @@ def test_recirculating_transient_is_structurally_masked():
     golden = golden_for(n, st)
     out = run_injection(Simulator(n), st, golden, FaultSpec(FaultKind.SET, "b", 1), tree)
     assert out.effect.changed == ()
-    assert len(out.effect.unchanged) == 4
+    assert out.effect.reached == 4
     assert out.classification is Classification.MASKED
 
 
@@ -374,22 +377,31 @@ def test_result_from_json_rejects_non_result_documents():
 
 def test_json_round_trip(lfsr, lfsr_stimulus, lfsr_golden):
     tree = generate_tree(lfsr.ff_names(), 3, RandomShuffle(8))
-    cfg = CampaignConfig(FaultKind.SET, 3, seed=6, shared_time_list=False)
-    result = run_campaign(Simulator(lfsr), lfsr_stimulus, cfg, tree=tree, golden=lfsr_golden, label="rt")
-    back = result_from_json(result_to_json(result))
-    assert back.netlist_name == result.netlist_name
-    assert back.mode == result.mode
-    assert back.seed == result.seed
-    assert back.label == "rt"
-    assert back.totals == result.totals
-    assert back.per_target == result.per_target
-    assert back.per_ff == result.per_ff
-    assert len(back.outcomes) == len(result.outcomes)
-    for orig, rebuilt in zip(result.outcomes, back.outcomes):
-        assert rebuilt.spec == orig.spec
-        assert rebuilt.classification == orig.classification
-        assert len(rebuilt.effect.reached) == len(orig.effect.reached)
-        assert len(rebuilt.effect.changed) == len(orig.effect.changed)
-        assert len(rebuilt.effect.unchanged) == len(orig.effect.unchanged)
-    # a rebuilt result serializes to the identical document
-    assert result_to_json(back) == result_to_json(result)
+    for mode in FaultKind:
+        for shared in (True, False):
+            cfg = CampaignConfig(mode, 3, seed=6, shared_time_list=shared)
+            result = run_campaign(
+                Simulator(lfsr), lfsr_stimulus, cfg, tree=tree, golden=lfsr_golden, label="rt"
+            )
+            assert result.records and result.totals.failures > 0
+            back = result_from_json(result_to_json(result))
+            # the whole result comes back: config, records, tallies and per_ff
+            assert back == result, (mode, shared)
+            assert back.label == "rt"
+            # a rebuilt result serializes to the identical document
+            assert result_to_json(back) == result_to_json(result)
+
+
+def test_records_are_the_logged_rows(lfsr, lfsr_stimulus, lfsr_golden):
+    tree = generate_tree(lfsr.ff_names(), 3)
+    cfg = CampaignConfig(FaultKind.SET, 2, seed=9)
+    result = run_campaign(Simulator(lfsr), lfsr_stimulus, cfg, tree=tree, golden=lfsr_golden)
+    rows = log_to_csv(result).splitlines()
+    assert tuple(rows[1].split(",")) == RECORD_FIELDS
+    assert rows[2:] == [",".join(map(str, r.row())) for r in result.records]
+    doc = json.loads(result_to_json(result))
+    assert doc["records"] == [dict(zip(RECORD_FIELDS, r.row())) for r in result.records]
+    assert (result.per_target, result.totals) == tally_records(result.records)
+    for r in result.records:
+        assert r.n_reached == len(tree.cone(r.target))
+        assert 0 <= r.n_changed <= r.n_reached

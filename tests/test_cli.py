@@ -15,7 +15,7 @@ import cdnfi
 from cdnfi import __version__
 from cdnfi.bundled import circuit_path, fit_library_path, golden_path, stimulus_path
 from cdnfi.cli import main
-from cdnfi.clocktree import generate_tree, load_tree, save_tree, tree_stats
+from cdnfi.clocktree import RandomShuffle, generate_tree, load_tree, save_tree, tree_stats
 from cdnfi.netlist import FlipFlop, Gate, Netlist, load_netlist, save_netlist
 from test_netlist import TOGGLE_DOC
 
@@ -188,6 +188,26 @@ def test_campaign_set_requires_tree(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("tree_doc", [{"not": "a tree"}, None])
+def test_campaign_seu_rejects_trees(tmp_path, capsys, tree_doc):
+    net = circuit_path("lfsr_counter")
+    tree_path = tmp_path / "cdn.json"
+    if tree_doc is None:
+        save_tree(generate_tree(load_netlist(net).ff_names(), 3), tree_path)
+    else:
+        tree_path.write_text(json.dumps(tree_doc))
+    out_dir = tmp_path / "out"
+    rc = main([
+        "campaign", str(net), str(stimulus_path("lfsr_counter")),
+        "--mode", "seu", "--tree", str(tree_path), "--out-dir", str(out_dir),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "--tree" in err[0]
+    assert not out_dir.exists()
+
+
 def test_campaign_multi_tree_conservation(tmp_path, capsys):
     cdn_dir = tmp_path / "cdns"
     assert main([
@@ -245,24 +265,98 @@ def test_campaign_reruns_and_workers_are_byte_identical(tmp_path, monkeypatch):
 
 
 def test_report_rebuilds_bundle(tmp_path, capsys):
+    # a two-tree transient campaign and an upset campaign, both with a FIT
+    # library; the rebuilt bundle equals the campaign's file for file
+    net = circuit_path("lfsr_counter")
+    labels = ["cdn_a", "cdn_b"]
+    tree_args = []
+    for i, label in enumerate(labels):
+        save_tree(generate_tree(load_netlist(net).ff_names(), 3, RandomShuffle(i)),
+                  tmp_path / f"{label}.json")
+        tree_args += ["--tree", str(tmp_path / f"{label}.json")]
+    for mode, args, names in (("set", tree_args, labels), ("seu", [], ["seu"])):
+        out_dir, rep_dir = tmp_path / f"camp_{mode}", tmp_path / f"rep_{mode}"
+        assert main([
+            "campaign", str(net), str(stimulus_path("lfsr_counter")),
+            "--mode", mode, *args, "--injections-per-target", "2", "--seed", "11",
+            "--fit-library", str(fit_library_path()), "--out-dir", str(out_dir),
+        ]) == 0
+        rc = main([
+            "report", *(str(out_dir / f"result_{label}.json") for label in names),
+            "--fit-library", str(fit_library_path()),
+            "--out-dir", str(rep_dir),
+        ])
+        assert rc == 0
+        assert "report bundle" in capsys.readouterr().out
+        rebuilt = {p.name for p in rep_dir.iterdir()} - {"manifest.json"}
+        expected = {"totals.csv", "per_target_fdr.csv", "rate_summary.csv", "summary.txt"}
+        expected |= {f"ranking_{label}.csv" for label in names}
+        if mode == "set":
+            expected |= {"overlap.csv", "failure_spread.csv"}
+        assert rebuilt == expected
+        for name in rebuilt:
+            assert (rep_dir / name).read_bytes() == (out_dir / name).read_bytes(), name
+
+
+def seu_result_doc(tmp_path):
     out_dir = tmp_path / "camp"
     assert main([
         "campaign", str(circuit_path("lfsr_counter")),
         str(stimulus_path("lfsr_counter")),
-        "--mode", "seu", "--injections-per-target", "2", "--seed", "11",
+        "--mode", "seu", "--injections-per-target", "1", "--seed", "11",
         "--out-dir", str(out_dir),
     ]) == 0
+    return json.loads((out_dir / "result_seu.json").read_text())
+
+
+def set_field(part, key, value):
+    return lambda doc: doc[part][0].update({key: value})
+
+
+def bump(doc, *path):
+    *where, key = path
+    entry = doc
+    for step in where:
+        entry = entry[step]
+    entry[key] += 1
+
+
+@pytest.mark.parametrize("tamper, message", [
+    pytest.param(set_field("records", "n_changed", -1), "non-negative integer", id="negative-count"),
+    pytest.param(set_field("records", "n_changed", 2), "n_changed <= n_reached",
+                 id="changed-above-reached"),
+    pytest.param(set_field("records", "n_reached", "1"), "non-negative integer", id="string-count"),
+    pytest.param(set_field("records", "n_reached", True), "non-negative integer", id="bool-count"),
+    pytest.param(set_field("records", "cycle", 1.0), "non-negative integer", id="float-cycle"),
+    pytest.param(set_field("records", "kind", "glitch"), "not a valid FaultKind", id="unknown-kind"),
+    pytest.param(set_field("records", "kind", "set"), "kind 'seu'", id="kind-not-the-mode"),
+    pytest.param(set_field("records", "classification", "benign"), "not a valid Classification",
+                 id="unknown-classification"),
+    pytest.param(lambda doc: doc["totals"].update(reached=-5, failures=2),
+                 "not the sum of per_target", id="tampered-totals"),
+    pytest.param(lambda doc: bump(doc, "totals", "failures"), "not the sum of per_target",
+                 id="totals-off-by-one"),
+    pytest.param(lambda doc: (bump(doc, "per_target", 0, "failures"), bump(doc, "totals", "failures")),
+                 "per_target disagrees with the tally of the records", id="per-target-not-records"),
+    pytest.param(lambda doc: doc["per_target"].reverse(), "per_target disagrees",
+                 id="per-target-reordered"),
+    pytest.param(lambda doc: bump(doc, "per_ff", "lfsr.0", "times_upset"), "per_ff counts 15 changes",
+                 id="per-ff-not-totals"),
+    pytest.param(lambda doc: doc["per_ff"]["lfsr.0"].update(times_upset="1"), "non-negative integer",
+                 id="per-ff-string-count"),
+])
+def test_report_rejects_inconsistent_results(tmp_path, capsys, tamper, message):
+    doc = seu_result_doc(tmp_path)
+    tamper(doc)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc, indent=2))
+    capsys.readouterr()
     rep_dir = tmp_path / "rep"
-    rc = main([
-        "report", str(out_dir / "result_seu.json"),
-        "--fit-library", str(fit_library_path()),
-        "--out-dir", str(rep_dir),
-    ])
-    assert rc == 0
-    assert "report bundle" in capsys.readouterr().out
-    assert (rep_dir / "totals.csv").read_bytes() == (out_dir / "totals.csv").read_bytes()
-    assert (rep_dir / "ranking_seu.csv").read_bytes() == (out_dir / "ranking_seu.csv").read_bytes()
-    assert (rep_dir / "rate_summary.csv").exists()
+    assert main(["report", str(path), "--out-dir", str(rep_dir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and message in err[0]
+    assert not rep_dir.exists()
 
 
 def test_report_rejects_non_result_json(tmp_path, capsys):

@@ -35,6 +35,11 @@ def seu_on_state(netlist, state, ff_name):
     return fault_on_state(sim, Stepper(netlist), state, lambda v: apply_seu(sim, v, ff_name))
 
 
+def unchanged(tree, buffer_id, effect):
+    """The reached flip-flops a transient left as they were, in cone order."""
+    return tuple(name for name in tree.cone(buffer_id) if name not in effect.changed)
+
+
 def gated_pair():
     """One enable-gated and one free-running flip-flop, both with D != Q."""
     return Netlist.build(
@@ -51,7 +56,7 @@ def test_set_copies_d_to_q():
     tree = generate_tree(n.ff_names(), 1)
     state, effect = set_on_state(n, tree, settled(n), "b")
     assert state.ff_values["t"] == 1
-    assert effect == InjectionEffect(("t",), ("t",), ())
+    assert effect == InjectionEffect(1, ("t",))
     # the combinational logic is re-settled against the corrupted value
     assert state.net_values["d"] == 0
 
@@ -60,9 +65,9 @@ def test_set_honors_enable_as_recirculation():
     n = gated_pair()
     tree = generate_tree(n.ff_names(), 2)
     state, effect = set_on_state(n, tree, settled(n, {"dg": 1, "en": 0, "du": 1}), "b")
-    assert effect.reached == ("g", "u")
+    assert effect.reached == 2
     assert effect.changed == ("u",)
-    assert effect.unchanged == ("g",)
+    assert unchanged(tree, "b", effect) == ("g",)
     assert state.ff_values == {"g": 0, "u": 1}
 
 
@@ -71,7 +76,7 @@ def test_set_with_enable_high_latches():
     tree = generate_tree(n.ff_names(), 2)
     state, effect = set_on_state(n, tree, settled(n, {"dg": 1, "en": 1, "du": 0}), "b")
     assert effect.changed == ("g",)
-    assert effect.unchanged == ("u",)
+    assert unchanged(tree, "b", effect) == ("u",)
     assert state.ff_values == {"g": 1, "u": 0}
 
 
@@ -83,7 +88,8 @@ def test_set_on_recirculating_ffs_changes_nothing():
     before = settled(n)
     state, effect = set_on_state(n, tree, before, "b")
     assert effect.changed == ()
-    assert effect.unchanged == effect.reached == tuple(n.ff_names())
+    assert effect.reached == 4
+    assert unchanged(tree, "b", effect) == tuple(n.ff_names())
     assert state == before
 
 
@@ -106,7 +112,7 @@ def test_set_outside_cone_untouched():
     tree = generate_tree(n.ff_names(), 1)
     leaf_of_p = next(b.id for b in tree.leaves() if b.cone == ("p",))
     state, effect = set_on_state(n, tree, settled(n, {"x": 1}), leaf_of_p)
-    assert effect.reached == ("p",)
+    assert effect == InjectionEffect(1, ("p",))
     assert state.ff_values == {"p": 1, "q": 0}  # q's input is 0 but it was not pulsed
 
 
@@ -128,7 +134,7 @@ def test_seu_flips_and_restores():
     flipped, effect = seu_on_state(n, before, "t")
     assert flipped.ff_values["t"] == 1
     assert flipped.net_values["d"] == 0
-    assert effect == InjectionEffect(("t",), ("t",), ())
+    assert effect == InjectionEffect(1, ("t",))
     restored, _ = seu_on_state(n, flipped, "t")
     assert restored == before
 
@@ -149,12 +155,14 @@ def test_set_accounting_partitions_the_cone(seed):
     for buffer_id in tree.buffer_ids():
         cone = tree.cone(buffer_id)
         _, effect = set_on_state(n, tree, state, buffer_id)
-        assert effect.reached == cone
-        assert set(effect.changed) | set(effect.unchanged) == set(cone)
-        assert not set(effect.changed) & set(effect.unchanged)
+        assert effect.reached == len(cone)
+        assert set(effect.changed) <= set(cone)
+        assert len(set(effect.changed)) == len(effect.changed)
+        rest = unchanged(tree, buffer_id, effect)
+        assert len(effect.changed) + len(rest) == effect.reached
         # both partitions preserve cone order
         pos = {name: i for i, name in enumerate(cone)}
-        for part in (effect.changed, effect.unchanged):
+        for part in (effect.changed, rest):
             assert list(part) == sorted(part, key=pos.__getitem__)
 
 
@@ -182,7 +190,8 @@ def test_second_pulse_only_moves_feedback_victims(seed):
     state = settled(n, {p: rng.randint(0, 1) for p in n.inputs})
     mid, first = set_on_state(n, tree, state, "b")
     _, second = set_on_state(n, tree, mid, "b")
-    assert set(second.changed) <= set(first.reached)
+    assert first.reached == len(tree.cone("b"))
+    assert set(second.changed) <= set(tree.cone("b"))
     if not first.changed:
         assert not second.changed
 

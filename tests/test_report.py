@@ -31,7 +31,7 @@ def fake_result(per_ff, mode=FaultKind.SEU, label="", totals=None, per_target=No
         seed=0,
         injections_per_target=1,
         shared_time_list=True,
-        outcomes=(),
+        records=(),
         totals=totals or Tally(),
         per_target=per_target or {},
         per_ff=per_ff,
@@ -126,13 +126,18 @@ def test_ranking_undisturbed_ff_rates_zero():
 def test_ranking_mode_selects_the_denominator():
     per_ff = {
         "x": FFTally(times_changed=4, times_changed_and_failed=4,
-                     times_upset=4, times_upset_and_failed=0),
-        "y": FFTally(times_changed=4, times_changed_and_failed=0,
+                     times_upset=5, times_upset_and_failed=0),
+        "y": FFTally(times_changed=2, times_changed_and_failed=0,
                      times_upset=4, times_upset_and_failed=4),
     }
-    r = fake_result(per_ff, mode=FaultKind.SET)
-    assert rank_ffs(r, fraction=1).names() == ("x", "y")
-    assert rank_ffs(r, mode=FaultKind.SEU, fraction=1).names() == ("y", "x")
+    set_ranking = rank_ffs(fake_result(per_ff, mode=FaultKind.SET), fraction=1)
+    assert set_ranking.mode is FaultKind.SET
+    assert set_ranking.names() == ("x", "y")
+    assert [(e.numerator, e.denominator) for e in set_ranking.entries] == [(4, 4), (0, 2)]
+    seu_ranking = rank_ffs(fake_result(per_ff, mode=FaultKind.SEU), fraction=1)
+    assert seu_ranking.mode is FaultKind.SEU
+    assert seu_ranking.names() == ("y", "x")
+    assert [(e.numerator, e.denominator) for e in seu_ranking.entries] == [(4, 4), (0, 5)]
 
 
 def test_ranking_fraction_bounds():
