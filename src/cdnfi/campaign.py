@@ -4,7 +4,9 @@ Each injection replays the stimulus from reset on the campaign's compiled
 kernel, applies one fault at its scheduled cycle (mid-cycle: after the
 combinational settle, before the edge), and compares the monitored trace to
 the golden trace from the injection cycle onward. Any difference is a
-functional failure; otherwise the fault was masked. Injection times are drawn
+functional failure; otherwise the fault was masked. ``run_specs`` checks the
+campaign's inputs once, before the golden run and before any injection, so an
+injection is a plain kernel call. Injection times are drawn
 uniformly (with replacement) from the stimulus active window by a seeded
 generator, so a campaign is a pure function of its inputs and seed. A result
 holds one ``InjectionRecord`` per injection in list order, the row its log and
@@ -27,7 +29,7 @@ from .clocktree import ClockTree
 from .faults import FaultKind, FaultSpec, InjectionEffect, apply_set, apply_seu
 from .netlist import Netlist
 from .seeding import derive_rng
-from .simulator import GoldenTrace, Simulator, Stimulus
+from .simulator import GoldenTrace, Simulator, Stimulus, validate_stimulus
 
 
 class CampaignError(Exception):
@@ -61,14 +63,6 @@ class CampaignConfig:
             raise CampaignError(
                 f"injections_per_target must be >= 1, got {self.injections_per_target}"
             )
-
-
-@dataclass(frozen=True)
-class InjectionOutcome:
-    spec: FaultSpec
-    effect: InjectionEffect
-    classification: Classification
-    note: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -131,26 +125,6 @@ class CampaignResult:
 
 
 # ---------------------------------------------------------------------------
-# trace comparison
-
-
-def compare_traces(golden: GoldenTrace, observed: GoldenTrace, from_cycle: int) -> Optional[str]:
-    """First difference between two traces at cycle >= from_cycle, or None."""
-    if golden.monitors != observed.monitors or len(golden.rows) != len(observed.rows):
-        return (
-            f"shape mismatch: golden {len(golden.rows)}x{len(golden.monitors)}, "
-            f"observed {len(observed.rows)}x{len(observed.monitors)}"
-        )
-    for cycle in range(from_cycle, len(golden.rows)):
-        g, o = golden.rows[cycle], observed.rows[cycle]
-        if g != o:
-            for monitor, gb, ob in zip(golden.monitors, g, o):
-                if gb != ob:
-                    return f"monitor '{monitor}' differs at cycle {cycle}: golden {gb}, observed {ob}"
-    return None
-
-
-# ---------------------------------------------------------------------------
 # time sampling
 
 
@@ -178,17 +152,12 @@ def run_injection(
     golden: GoldenTrace,
     spec: FaultSpec,
     tree: Optional[ClockTree] = None,
-) -> InjectionOutcome:
-    """Replay the stimulus from reset with one fault applied at spec.cycle."""
-    if not (0 <= spec.cycle < stimulus.n_cycles):
-        raise CampaignError(
-            f"injection cycle {spec.cycle} outside stimulus of {stimulus.n_cycles} cycles"
-        )
-    if golden.monitors != stimulus.monitors or len(golden.rows) != stimulus.n_cycles:
-        raise CampaignError("golden trace does not match the stimulus monitors/cycles")
-    if spec.kind is FaultKind.SET and tree is None:
-        raise CampaignError("clock transient injection needs a clock tree")
+) -> tuple[InjectionRecord, tuple[str, ...]]:
+    """Replay the stimulus from reset with one fault applied at spec.cycle.
 
+    Returns the injection's record and the flip-flops the fault changed. It
+    trusts its inputs, which ``run_specs`` checks once per campaign.
+    """
     effects: list[InjectionEffect] = []
 
     def inject(v: list[int]) -> None:
@@ -198,11 +167,13 @@ def run_injection(
             effects.append(apply_seu(sim, v, spec.target))
 
     observed = sim.run(stimulus, fault=(spec.cycle, inject))
-    note = compare_traces(golden, observed, spec.cycle)
-    classification = (
-        Classification.MASKED if note is None else Classification.FUNCTIONAL_FAILURE
+    failed = observed.rows[spec.cycle:] != golden.rows[spec.cycle:]
+    (effect,) = effects
+    record = InjectionRecord(
+        spec.kind, spec.target, spec.cycle, effect.reached, len(effect.changed),
+        Classification.FUNCTIONAL_FAILURE if failed else Classification.MASKED,
     )
-    return InjectionOutcome(spec, effects[0], classification, note)
+    return record, effect.changed
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +189,7 @@ def _init_worker(sim, stimulus, golden, tree):
     _worker_ctx["args"] = (sim, stimulus, golden, tree)
 
 
-def _run_one(spec: FaultSpec) -> InjectionOutcome:
+def _run_one(spec: FaultSpec) -> tuple[InjectionRecord, tuple[str, ...]]:
     sim, stimulus, golden, tree = _worker_ctx["args"]
     return run_injection(sim, stimulus, golden, spec, tree)
 
@@ -283,18 +254,33 @@ def run_specs(
 ) -> CampaignResult:
     """Run an explicit injection list and aggregate in list order.
 
-    Every targeted buffer's cone is checked against the netlist before any
-    injection runs or any worker starts.
+    The campaign's inputs are checked here, once, before the golden run and
+    before any injection runs or any worker starts: the list holds one fault
+    kind, an SET list has a tree whose targeted cones name only netlist
+    flip-flops, every injection cycle lies inside the stimulus, the stimulus
+    fits the netlist, and a supplied golden trace has the stimulus's monitors
+    and cycle count.
     """
     netlist = sim.netlist
     kinds = {s.kind for s in specs}
     if len(kinds) > 1:
         raise CampaignError("an injection list must not mix fault kinds")
     mode = kinds.pop() if kinds else (config.mode if config else FaultKind.SET)
-    if mode is FaultKind.SET and tree is not None:
+    if specs and mode is FaultKind.SET:
+        if tree is None:
+            raise CampaignError("clock transient injection needs a clock tree")
         check_cones(netlist, tree, dict.fromkeys(s.target for s in specs))
+    for spec in specs:
+        if not 0 <= spec.cycle < stimulus.n_cycles:
+            raise CampaignError(
+                f"injection cycle {spec.cycle} outside stimulus of {stimulus.n_cycles} cycles"
+            )
     if golden is None:
-        golden = sim.run(stimulus)
+        golden = sim.run(stimulus)  # checks the stimulus before it runs
+    else:
+        validate_stimulus(netlist, stimulus)
+        if golden.monitors != stimulus.monitors or len(golden.rows) != stimulus.n_cycles:
+            raise CampaignError("golden trace does not match the stimulus monitors/cycles")
 
     if workers > 1 and len(specs) > 1:
         with ProcessPoolExecutor(
@@ -303,21 +289,18 @@ def run_specs(
             initargs=(sim, stimulus, golden, tree),
         ) as pool:
             chunk = max(1, len(specs) // (workers * 8))
-            outcomes = list(pool.map(_run_one, specs, chunksize=chunk))
+            runs = list(pool.map(_run_one, specs, chunksize=chunk))
     else:
-        outcomes = [run_injection(sim, stimulus, golden, s, tree) for s in specs]
+        runs = [run_injection(sim, stimulus, golden, s, tree) for s in specs]
 
     # aggregation depends only on the spec list order, never completion order
-    records = tuple(
-        InjectionRecord(o.spec.kind, o.spec.target, o.spec.cycle, o.effect.reached,
-                        len(o.effect.changed), o.classification)
-        for o in outcomes
-    )
+    records = tuple(record for record, _ in runs)
     per_target, totals = tally_records(records)
     # per flip-flop: the injections that changed it, and those that also failed
-    hits = Counter(name for o in outcomes for name in o.effect.changed)
-    fails = Counter(name for o in outcomes if o.classification is Classification.FUNCTIONAL_FAILURE
-                    for name in o.effect.changed)
+    hits = Counter(name for _, changed in runs for name in changed)
+    fails = Counter(name for record, changed in runs
+                    if record.classification is Classification.FUNCTIONAL_FAILURE
+                    for name in changed)
     per_ff = {
         name: FFTally(hits[name], fails[name], 0, 0) if mode is FaultKind.SET
         else FFTally(0, 0, hits[name], fails[name])
@@ -427,6 +410,7 @@ def result_from_json(text: str) -> CampaignResult:
     integer, no record changes more flip-flops than it reached,
     ``per_target`` is the tally of the records, ``totals`` is its sum, and
     the ``per_ff`` counters of the result's mode sum to ``totals.changed``.
+    The label, which report file names carry, is a plain file name or empty.
     """
     try:
         doc = json.loads(text)
@@ -435,6 +419,9 @@ def result_from_json(text: str) -> CampaignResult:
     try:
         cfg = doc["config"]
         mode = FaultKind(cfg["mode"])
+        label = cfg.get("label", "")
+        if "/" in label or "\\" in label or label in (".", ".."):
+            raise CampaignError(f"label {label!r} is not a plain file name")
         records = tuple(_record_from_row(row, mode) for row in doc["records"])
         per_target, totals = tally_records(records)
         if doc["per_target"] != [{"target": t, **vars(tally)} for t, tally in per_target.items()]:
@@ -457,7 +444,7 @@ def result_from_json(text: str) -> CampaignResult:
             totals=totals,
             per_target=per_target,
             per_ff=per_ff,
-            label=cfg.get("label", ""),
+            label=label,
         )
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise CampaignError(

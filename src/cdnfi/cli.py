@@ -224,29 +224,22 @@ def _cmd_campaign(args) -> int:
     netlist = load_netlist(netlist_path)
     sim = Simulator(netlist)
     stimulus = load_stimulus(stimulus_path)
-    # every tree is loaded and checked before anything is written or run
+    # every input is loaded and checked, and every campaign run, before
+    # anything is written
     trees = [load_tree(p) for p in tree_paths]
     for tree in trees:
         check_cones(netlist, tree, tree.buffer_ids())
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list[Path] = []
-
+    fit_library = None
+    if args.fit_library:
+        fit_path = _require_file(args.fit_library, "FIT library")
+        fit_library = load_fit_library(fit_path)
+        input_files.append(fit_path)
     if args.golden:
         golden_path = _require_file(args.golden, "golden trace")
         golden = load_trace(golden_path)
         input_files.append(golden_path)
     else:
         golden = sim.run(stimulus)
-        golden_path = out_dir / "golden.csv"
-        save_trace(golden, golden_path)
-        outputs.append(golden_path)
-
-    fit_library = None
-    if args.fit_library:
-        fit_path = _require_file(args.fit_library, "FIT library")
-        fit_library = load_fit_library(fit_path)
-        input_files.append(fit_path)
 
     cfg = CampaignConfig(
         mode=mode,
@@ -262,6 +255,13 @@ def _cmd_campaign(args) -> int:
         for tree, label in runs
     ]
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs: list[Path] = []
+    if not args.golden:
+        golden_path = out_dir / "golden.csv"
+        save_trace(golden, golden_path)
+        outputs.append(golden_path)
     for result in results:
         log_path = out_dir / f"log_{result.label}.csv"
         log_path.write_text(log_to_csv(result), encoding="utf-8")

@@ -234,7 +234,6 @@ def emit(
     fmt: str = "csv",
     fit_library: Optional[FitLibrary] = None,
     top_fraction: Rational = Fraction(1, 20),
-    ff_count: Optional[int] = None,
 ) -> list[Path]:
     """Write the report bundle for one or more campaigns.
 
@@ -242,8 +241,8 @@ def emit(
     ranking per campaign, the pairwise ranking overlap matrix when several
     campaigns are given, failure-spread statistics across campaigns, a FIT
     combination table when a library is supplied, and a plain-text summary.
-    The FIT table counts the flip-flops of the first upset campaign (unless
-    ``ff_count`` is given) and the targets of the largest transient campaign.
+    The FIT table counts the flip-flops of the first upset campaign and the
+    targets of the largest transient campaign.
     Output bytes depend only on the inputs.
     """
     if fmt not in ("csv", "text"):
@@ -355,8 +354,7 @@ def emit(
         set_ = [r for r in results if r.mode is FaultKind.SET]
         if seu:
             mean = sum((_result_fdr(r) for r in seu), Fraction(0)) / len(seu)
-            count = ff_count if ff_count is not None else len(seu[0].per_ff)
-            s = combine_fit(count, mean, fit_library.get("flipflop"), "flipflop")
+            s = combine_fit(len(seu[0].per_ff), mean, fit_library.get("flipflop"), "flipflop")
             rows.append(s)
         if set_:
             mean = sum((_result_fdr(r) for r in set_), Fraction(0)) / len(set_)

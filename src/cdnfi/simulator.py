@@ -7,7 +7,9 @@ after the edge. ``Simulator.run`` is the only cycle loop: the golden run and
 every injection go through it, on one flat list of net values whose Q slots
 hold the flip-flop state. A fault injection passes a mid-cycle hook that
 writes Q values into that list; the kernel re-settles before the edge. The
-stimulus is checked once per run, by ``validate_stimulus``, before the loop.
+netlist is checked once, when it is parsed, and the stimulus once per
+campaign: a golden run checks it with ``validate_stimulus`` before the loop,
+an injection replay trusts the campaign's check.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Optional
 
-from .netlist import Netlist, NetlistError, is_bit, levelize, validate
+from .netlist import Netlist, is_bit, levelize
 
 
 class SimulationError(Exception):
@@ -84,15 +86,10 @@ _OPS = {
 
 
 class Simulator:
-    """Compiled simulation kernel for one netlist."""
+    """Compiled simulation kernel for one netlist, which must validate cleanly
+    (``parse_netlist`` ensures it)."""
 
     def __init__(self, netlist: Netlist):
-        violations = validate(netlist)
-        if violations:
-            raise NetlistError(
-                "netlist must validate cleanly before simulation: "
-                + "; ".join(str(v) for v in violations)
-            )
         self.netlist = netlist
         self.net_names = sorted(netlist.nets)  # net_names[i] is slot i of a value list
         self._net_ids = {net: i for i, net in enumerate(self.net_names)}
@@ -160,9 +157,12 @@ class Simulator:
 
         ``fault`` is ``(cycle, apply)``: at that cycle, after the mid-cycle
         settle, ``apply(v)`` writes new Q values into the value list; the
-        kernel re-settles and the clock edge latches from the result.
+        kernel re-settles and the clock edge latches from the result. A
+        golden run (no ``fault``) checks the stimulus first; an injection
+        replays a stimulus its campaign has checked.
         """
-        validate_stimulus(self.netlist, stimulus)
+        if fault is None:
+            validate_stimulus(self.netlist, stimulus)
         mon_ids = [self._net_ids[m] for m in stimulus.monitors]
         fault_cycle, apply = fault if fault is not None else (-1, None)
         v = [0] * len(self.net_names)

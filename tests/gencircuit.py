@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from cdnfi.netlist import FlipFlop, Gate, Netlist
+from cdnfi.netlist import FlipFlop, Gate, Netlist, validate
 from cdnfi.simulator import Stimulus
 
 _ARITY = {"NOT": 1, "BUF": 1, "MUX2": 3, "CONST0": 0, "CONST1": 0}
@@ -47,7 +47,10 @@ def random_netlist(
 
     n_outputs = rng.randint(1, min(3, len(available)))
     outputs = sorted(rng.sample(available, k=n_outputs))
-    return Netlist.build("randcircuit", inputs, outputs, gates, ffs)
+    netlist = Netlist.build("randcircuit", inputs, outputs, gates, ffs)
+    # the kernel trusts its netlist to validate, as parse_netlist ensures
+    assert validate(netlist) == []
+    return netlist
 
 
 def random_stimulus(rng: random.Random, netlist: Netlist, max_cycles: int = 12) -> Stimulus:

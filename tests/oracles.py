@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
-from cdnfi.campaign import Classification, InjectionOutcome, compare_traces
+from cdnfi.campaign import Classification, InjectionRecord
 from cdnfi.clocktree import ClockTree
 from cdnfi.faults import FaultKind, FaultSpec, InjectionEffect, UnknownFlipFlopError
 from cdnfi.netlist import FlipFlop, Netlist, levelize
@@ -147,18 +147,19 @@ def replay_injection(
     golden: GoldenTrace,
     spec: FaultSpec,
     tree: Optional[ClockTree] = None,
-) -> InjectionOutcome:
+) -> tuple[InjectionRecord, tuple[str, ...]]:
     """Full replay from reset: settle each cycle, fault at spec.cycle, step.
 
     A transient is the explicit-pulse oracle, its effect read from the
     cone's stored values before and after; an upset flips one stored value
-    and settles again. The monitored trace is compared to the golden one
-    from the injection cycle on, exactly as a campaign classifies an
-    injection.
+    and settles again. Each monitored row from the injection cycle on is
+    compared with the golden one; the first that differs makes the injection
+    a failure. Returns the record and the changed flip-flops, as a campaign's
+    injection does.
     """
     state = ref.reset()
     effect = None
-    rows = []
+    failed = False
     for cycle in range(stimulus.n_cycles):
         inputs = stimulus.input_vectors[cycle]
         if cycle == spec.cycle:
@@ -176,9 +177,11 @@ def replay_injection(
                 state = ref.settle(SimState(mid.cycle, flipped, {}), inputs)
                 effect = InjectionEffect(1, (spec.target,))
         state = ref.step_cycle(state, inputs)
-        rows.append(tuple(state.net_values[m] for m in stimulus.monitors))
-    note = compare_traces(golden, GoldenTrace(stimulus.monitors, tuple(rows)), spec.cycle)
-    classification = (
-        Classification.MASKED if note is None else Classification.FUNCTIONAL_FAILURE
-    )
-    return InjectionOutcome(spec, effect, classification, note)
+        row = tuple(state.net_values[m] for m in stimulus.monitors)
+        if cycle >= spec.cycle and row != golden.rows[cycle]:
+            failed = True
+            break
+    classification = Classification.FUNCTIONAL_FAILURE if failed else Classification.MASKED
+    record = InjectionRecord(spec.kind, spec.target, spec.cycle, effect.reached,
+                             len(effect.changed), classification)
+    return record, effect.changed

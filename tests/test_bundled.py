@@ -116,19 +116,19 @@ def test_match_monitor_holds_in_fault_free_run(crc8_stimulus, crc8_golden):
 def test_deadend_probe_upsets_are_masked(lfsr, lfsr_stimulus, lfsr_golden):
     first, last = lfsr_stimulus.active_window
     for cycle in (first, (first + last) // 2, last):
-        out = run_injection(
+        record, _ = run_injection(
             Simulator(lfsr), lfsr_stimulus, lfsr_golden,
             FaultSpec(FaultKind.SEU, "probe.tap", cycle),
         )
-        assert out.classification is Classification.MASKED
+        assert record.classification is Classification.MASKED
 
 
 def test_lfsr_upsets_do_fail_somewhere(lfsr, lfsr_stimulus, lfsr_golden):
     first, _ = lfsr_stimulus.active_window
-    out = run_injection(
+    record, _ = run_injection(
         Simulator(lfsr), lfsr_stimulus, lfsr_golden, FaultSpec(FaultKind.SEU, "lfsr.7", first)
     )
-    assert out.classification is Classification.FUNCTIONAL_FAILURE
+    assert record.classification is Classification.FUNCTIONAL_FAILURE
 
 
 def test_fit_library_ships_reference_values():

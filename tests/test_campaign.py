@@ -12,7 +12,6 @@ from cdnfi.campaign import (
     CampaignError,
     Classification,
     build_specs,
-    compare_traces,
     log_to_csv,
     resolve_targets,
     result_from_json,
@@ -26,7 +25,7 @@ from cdnfi.campaign import (
 from cdnfi.clocktree import ByName, RandomShuffle, generate_tree
 from cdnfi.faults import FaultKind, FaultSpec
 from cdnfi.netlist import FlipFlop, Gate, Netlist
-from cdnfi.simulator import GoldenTrace, Simulator, Stimulus
+from cdnfi.simulator import GoldenTrace, Simulator, Stimulus, StimulusError
 from gencircuit import random_netlist, random_stimulus
 from oracles import Stepper, replay_injection
 from test_netlist import toggle
@@ -111,31 +110,18 @@ def test_zero_injections_rejected():
 
 
 # ---------------------------------------------------------------------------
-# classification
-
-
-def test_identical_traces_are_masked():
-    t = GoldenTrace(("m",), ((0,), (1,)))
-    assert compare_traces(t, t, 0) is None
+# single injections
 
 
 def test_difference_before_injection_cycle_is_ignored():
-    g = GoldenTrace(("m",), ((0,), (1,), (1,)))
-    o = GoldenTrace(("m",), ((1,), (1,), (1,)))
-    assert compare_traces(g, o, 1) is None
-    assert compare_traces(g, o, 0) is not None
-    assert "cycle 0" in compare_traces(g, o, 0)
-
-
-def test_shape_mismatch_is_a_failure_with_reason():
-    g = GoldenTrace(("m",), ((0,), (1,)))
-    o = GoldenTrace(("m",), ((0,),))
-    reason = compare_traces(g, o, 0)
-    assert reason is not None and "shape mismatch" in reason
-
-
-# ---------------------------------------------------------------------------
-# single injections
+    # a supplied golden trace is compared from the injection cycle on only
+    n = deadend()
+    st = Stimulus(4, tuple({"x": c % 2} for c in range(4)), (0, 3), ("y",))
+    golden = golden_for(n, st)
+    wrong_early = GoldenTrace(golden.monitors, ((1 - golden.rows[0][0],),) + golden.rows[1:])
+    for cycle, classification in ((1, Classification.MASKED), (0, Classification.FUNCTIONAL_FAILURE)):
+        record, _ = run_injection(Simulator(n), st, wrong_early, FaultSpec(FaultKind.SEU, "dead", cycle))
+        assert record.classification is classification, cycle
 
 
 def test_toggle_upset_fails_from_injection_cycle():
@@ -143,20 +129,20 @@ def test_toggle_upset_fails_from_injection_cycle():
     st = autonomous_stimulus(n, 4)
     golden = golden_for(n, st)
     assert golden.rows == ((1,), (0,), (1,), (0,))
-    out = run_injection(Simulator(n), st, golden, FaultSpec(FaultKind.SEU, "t", 2))
-    assert out.classification is Classification.FUNCTIONAL_FAILURE
-    assert "monitor 'q'" in out.note and "cycle 2" in out.note
-    assert out.effect.changed == ("t",)
+    record, changed = run_injection(Simulator(n), st, golden, FaultSpec(FaultKind.SEU, "t", 2))
+    assert record.classification is Classification.FUNCTIONAL_FAILURE
+    assert (record.kind, record.target, record.cycle) == (FaultKind.SEU, "t", 2)
+    assert (record.n_reached, record.n_changed) == (1, 1)
+    assert changed == ("t",)
 
 
 def test_deadend_upset_is_masked():
     n = deadend()
     st = Stimulus(4, tuple({"x": c % 2} for c in range(4)), (0, 3), ("y",))
     golden = golden_for(n, st)
-    out = run_injection(Simulator(n), st, golden, FaultSpec(FaultKind.SEU, "dead", 1))
-    assert out.classification is Classification.MASKED
-    assert out.note is None
-    assert out.effect.changed == ("dead",)
+    record, changed = run_injection(Simulator(n), st, golden, FaultSpec(FaultKind.SEU, "dead", 1))
+    assert record.classification is Classification.MASKED
+    assert changed == ("dead",)
 
 
 def test_recirculating_transient_is_structurally_masked():
@@ -164,31 +150,48 @@ def test_recirculating_transient_is_structurally_masked():
     tree = generate_tree(n.ff_names(), 2)
     st = autonomous_stimulus(n, 3)
     golden = golden_for(n, st)
-    out = run_injection(Simulator(n), st, golden, FaultSpec(FaultKind.SET, "b", 1), tree)
-    assert out.effect.changed == ()
-    assert out.effect.reached == 4
-    assert out.classification is Classification.MASKED
+    record, changed = run_injection(Simulator(n), st, golden, FaultSpec(FaultKind.SET, "b", 1), tree)
+    assert changed == ()
+    assert (record.n_reached, record.n_changed) == (4, 0)
+    assert record.classification is Classification.MASKED
 
 
 def test_toggle_transient_fails():
     n = toggle()
     tree = generate_tree(n.ff_names(), 1)
     st = autonomous_stimulus(n, 4)
-    out = run_injection(Simulator(n), st, golden_for(n, st), FaultSpec(FaultKind.SET, "b", 1), tree)
-    assert out.classification is Classification.FUNCTIONAL_FAILURE
+    spec = FaultSpec(FaultKind.SET, "b", 1)
+    record, _ = run_injection(Simulator(n), st, golden_for(n, st), spec, tree)
+    assert record.classification is Classification.FUNCTIONAL_FAILURE
 
 
-def test_injection_validations():
+def test_injection_validations(monkeypatch):
+    # campaign-wide conditions are checked by run_specs, before any
+    # injection runs or any worker starts
     n = toggle()
     st = autonomous_stimulus(n, 4)
     golden = golden_for(n, st)
-    with pytest.raises(CampaignError, match="cycle 9"):
-        run_injection(Simulator(n), st, golden, FaultSpec(FaultKind.SEU, "t", 9))
-    with pytest.raises(CampaignError, match="clock tree"):
-        run_injection(Simulator(n), st, golden, FaultSpec(FaultKind.SET, "b", 1), tree=None)
     short = GoldenTrace(st.monitors, golden.rows[:2])
-    with pytest.raises(CampaignError, match="golden"):
-        run_injection(Simulator(n), st, short, FaultSpec(FaultKind.SEU, "t", 1))
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a campaign input must be checked before any injection or pool")
+
+    monkeypatch.setattr(campaign, "run_injection", must_not_run)
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor", must_not_run)
+    # a supplied golden trace that fits a stimulus the netlist cannot run
+    unknown_monitor = Stimulus(4, st.input_vectors, st.active_window, ("nope",))
+    fitting_golden = GoldenTrace(("nope",), golden.rows)
+    upsets = [FaultSpec(FaultKind.SEU, "t", 1)] * 2
+    cases = [
+        (CampaignError, "cycle 9", st, upsets + [FaultSpec(FaultKind.SEU, "t", 9)], golden),
+        (CampaignError, "clock tree", st, [FaultSpec(FaultKind.SET, "b", 1)] * 2, golden),
+        (CampaignError, "golden", st, upsets, short),
+        (StimulusError, "outputs of 'toggle': nope", unknown_monitor, upsets, fitting_golden),
+    ]
+    for error, message, stimulus, specs, golden_arg in cases:
+        for workers in (1, 2):
+            with pytest.raises(error, match=message):
+                run_specs(Simulator(n), stimulus, specs, golden=golden_arg, workers=workers)
 
 
 @settings(max_examples=60, deadline=None)
@@ -206,11 +209,7 @@ def test_run_injection_matches_full_replay(seed, kind):
     for _ in range(4):
         spec = FaultSpec(kind, rng.choice(targets), rng.randrange(st.n_cycles))
         fast = run_injection(sim, st, golden, spec, tree)
-        reference = replay_injection(Stepper(n), st, golden, spec, tree)
-        assert fast.classification == reference.classification
-        assert fast.note == reference.note
-        assert fast.effect == reference.effect
-        assert fast == reference
+        assert fast == replay_injection(Stepper(n), st, golden, spec, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +372,19 @@ def test_result_from_json_rejects_non_result_documents():
         result_from_json('{"config": {"mode": "seu"}}')
     with pytest.raises(CampaignError, match="bad or missing field"):
         result_from_json('[1, 2, 3]')
+
+
+def test_result_label_must_be_a_plain_file_name(lfsr, lfsr_stimulus, lfsr_golden):
+    cfg = CampaignConfig(FaultKind.SEU, 1, seed=0, targets=("lfsr.0",))
+    result = run_campaign(Simulator(lfsr), lfsr_stimulus, cfg, golden=lfsr_golden)
+    doc = json.loads(result_to_json(result))
+    for label in ("a/b", "a\\b", ".", ".."):
+        doc["config"]["label"] = label
+        with pytest.raises(CampaignError, match="not a plain file name"):
+            result_from_json(json.dumps(doc))
+    # an empty label is a file-name fallback in the report, not a path
+    doc["config"]["label"] = ""
+    assert result_from_json(json.dumps(doc)).label == ""
 
 
 def test_json_round_trip(lfsr, lfsr_stimulus, lfsr_golden):

@@ -359,6 +359,22 @@ def test_report_rejects_inconsistent_results(tmp_path, capsys, tamper, message):
     assert not rep_dir.exists()
 
 
+def test_report_rejects_label_that_is_not_a_file_name(tmp_path, capsys):
+    doc = seu_result_doc(tmp_path)
+    doc["config"]["label"] = "x/../../escaped"
+    path = tmp_path / "escaping.json"
+    path.write_text(json.dumps(doc, indent=2))
+    rep_dir = tmp_path / "rep"
+    (rep_dir / "ranking_x").mkdir(parents=True)
+    before = tree_of_files(tmp_path)
+    capsys.readouterr()
+    assert main(["report", str(path), "--out-dir", str(rep_dir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "not a plain file name" in err[0]
+    assert tree_of_files(tmp_path) == before
+
+
 def test_report_rejects_non_result_json(tmp_path, capsys):
     wrong = tmp_path / "manifest.json"
     wrong.write_text('{"command": "sim", "config": {"mode": "set"}}\n')
@@ -389,6 +405,59 @@ def test_campaign_rejects_non_numeric_fit_value(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and "'flipflop', 'abc'" in err[0]
+
+
+@pytest.mark.parametrize("option, text, message", [
+    ("--fit-library", "cell_class,fit\nflipflop,abc\n", "'flipflop', 'abc'"),
+    ("--golden", "q\n2\n", "non-binary"),
+    ("--golden", "q\n1\n", "golden trace does not match the stimulus"),
+], ids=["fit-library", "golden", "golden-shape"])
+def test_campaign_loads_every_input_before_writing(tmp_path, capsys, option, text, message):
+    bad = tmp_path / "bad_input"
+    bad.write_text(text)
+    out_dir = tmp_path / "out"
+    rc = main([
+        "campaign", str(circuit_path("lfsr_counter")),
+        str(stimulus_path("lfsr_counter")),
+        "--mode", "seu", "--injections-per-target", "1",
+        option, str(bad), "--out-dir", str(out_dir),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and message in err[0]
+    assert not out_dir.exists()
+
+
+def test_campaign_checks_netlist_and_stimulus_once(tmp_path, monkeypatch):
+    # the netlist is validated when parsed, and the stimulus by the golden run
+    # and once more by the campaign, never per injection
+    from cdnfi import campaign, netlist, simulator
+
+    calls = {"validate": 0, "validate_stimulus": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, original in (("validate", netlist.validate),
+                           ("validate_stimulus", simulator.validate_stimulus)):
+        for module in (netlist, simulator, campaign):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    rc = main([
+        "campaign", str(circuit_path("lfsr_counter")),
+        str(stimulus_path("lfsr_counter")),
+        "--mode", "seu", "--injections-per-target", "2",
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 0
+    injected = json.loads((tmp_path / "out" / "result_seu.json").read_text())["totals"]["injected"]
+    assert injected > 1
+    assert calls["validate"] == 1
+    assert 1 <= calls["validate_stimulus"] <= 2
 
 
 def test_campaign_rejects_tree_naming_unknown_flipflops(tmp_path, capsys):

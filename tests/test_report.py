@@ -311,14 +311,16 @@ def test_emit_failure_spread(two_campaigns, tmp_path):
     assert stats["fdr_mean"] == render_rate(sum(fdrs, Fraction(0)) / 2)
 
 
-def test_emit_rate_summary_uses_explicit_counts(two_campaigns, tmp_path):
+def test_emit_rate_summary_uses_explicit_counts(two_campaigns, lfsr, tmp_path):
     lib = FitLibrary.from_csv("clock_buffer,59.17\nflipflop,161.75\n")
-    emit(two_campaigns, tmp_path, fit_library=lib, ff_count=1233)
+    emit(two_campaigns, tmp_path, fit_library=lib)
     lines = (tmp_path / "rate_summary.csv").read_text().splitlines()
     assert lines[0].startswith("element_type,element_count,avg_fdr")
     row = lines[1].split(",")
-    assert row[0] == "flipflop" and row[1] == "1233"
+    # the flip-flops of the first upset campaign: every one of the netlist
+    ff_count = len(lfsr.flipflops)
+    assert row[0] == "flipflop" and row[1] == str(ff_count)
     fdrs = [Fraction(r.totals.failures, r.totals.injected) for r in two_campaigns]
     mean = sum(fdrs, Fraction(0)) / 2
-    expected = combine_fit(1233, mean, Fraction(647, 4))
+    expected = combine_fit(ff_count, mean, Fraction(647, 4))
     assert row[4] == str(expected.failure_rate)
