@@ -5,13 +5,14 @@ kernel, applies one fault at its scheduled cycle (mid-cycle: after the
 combinational settle, before the edge), and compares the monitored trace to
 the golden trace from the injection cycle onward. Any difference is a
 functional failure; otherwise the fault was masked. ``run_specs`` checks the
-campaign's inputs once, before the golden run and before any injection, so an
-injection is a plain kernel call. Injection times are drawn
-uniformly (with replacement) from the stimulus active window by a seeded
-generator, so a campaign is a pure function of its inputs and seed. A result
-holds one ``InjectionRecord`` per injection in list order, the row its log and
-JSON write; its tallies are a function of those records (``tally_records``),
-which keeps multi-worker runs and reruns byte-identical.
+campaign's inputs once, before the golden run and before any injection
+(``check_targets`` decides that every target can be injected), so an
+injection and the fault functions it calls are plain kernel calls. Injection
+times are drawn uniformly (with replacement) from the stimulus active window
+by a seeded generator, so a campaign is a pure function of its inputs and
+seed. A result holds one ``InjectionRecord`` per injection in list order, the
+row its log and JSON write; its tallies are a function of those records
+(``tally_records``), which keeps multi-worker runs and reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import io
 import json
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .clocktree import ClockTree
 from .faults import FaultKind, FaultSpec, InjectionEffect, apply_set, apply_seu
@@ -199,20 +200,15 @@ def resolve_targets(
     cfg: CampaignConfig,
     tree: Optional[ClockTree],
 ) -> tuple[str, ...]:
-    if cfg.mode is FaultKind.SET:
-        if tree is None:
-            raise CampaignError("SET campaigns need a clock tree")
-        universe = tree.buffer_ids()
-    else:
-        universe = netlist.ff_names()
-    if cfg.targets is None:
-        return tuple(universe)
-    known = set(universe)
-    unknown = [t for t in cfg.targets if t not in known]
-    if unknown:
-        kind = "buffer" if cfg.mode is FaultKind.SET else "flip-flop"
-        raise CampaignError(f"unknown {kind} target(s): {', '.join(unknown)}")
-    return tuple(cfg.targets)
+    """The config's targets, or every buffer (SET) or flip-flop (SEU).
+
+    Explicit targets are not checked here; ``run_specs`` checks them.
+    """
+    if cfg.mode is FaultKind.SET and tree is None:
+        raise CampaignError("SET campaigns need a clock tree")
+    if cfg.targets is not None:
+        return tuple(cfg.targets)
+    return tree.buffer_ids() if cfg.mode is FaultKind.SET else netlist.ff_names()
 
 
 def build_specs(
@@ -230,9 +226,27 @@ def build_specs(
     return specs
 
 
-def check_cones(netlist: Netlist, tree: ClockTree, targets: Iterable[str]) -> None:
-    """Raise unless every targeted buffer's cone names only netlist flip-flops."""
+def check_targets(
+    netlist: Netlist,
+    mode: FaultKind,
+    targets: Collection[str],
+    tree: Optional[ClockTree],
+) -> None:
+    """Raise ``CampaignError`` unless every target can be injected.
+
+    An SET target is a buffer of ``tree`` whose cone names only netlist
+    flip-flops; an SEU target is a netlist flip-flop.
+    """
+    if mode is FaultKind.SET and tree is None:
+        raise CampaignError("clock transient injection needs a clock tree")
     ffs = set(netlist.ff_names())
+    known = set(tree.buffer_ids()) if mode is FaultKind.SET else ffs
+    unknown = [t for t in targets if t not in known]
+    if unknown:
+        kind = "buffer" if mode is FaultKind.SET else "flip-flop"
+        raise CampaignError(f"unknown {kind} target(s): {', '.join(unknown)}")
+    if mode is FaultKind.SEU:
+        return
     for target in targets:
         missing = [name for name in tree.cone(target) if name not in ffs]
         if missing:
@@ -249,27 +263,23 @@ def run_specs(
     tree: Optional[ClockTree] = None,
     golden: Optional[GoldenTrace] = None,
     workers: int = 1,
-    config: Optional[CampaignConfig] = None,
-    label: str = "",
 ) -> CampaignResult:
     """Run an explicit injection list and aggregate in list order.
 
     The campaign's inputs are checked here, once, before the golden run and
     before any injection runs or any worker starts: the list holds one fault
-    kind, an SET list has a tree whose targeted cones name only netlist
-    flip-flops, every injection cycle lies inside the stimulus, the stimulus
-    fits the netlist, and a supplied golden trace has the stimulus's monitors
-    and cycle count.
+    kind, every target passes ``check_targets``, every injection cycle lies
+    inside the stimulus, the stimulus fits the netlist, and a supplied golden
+    trace has the stimulus's monitors and cycle count. The result carries no
+    config (``seed`` and the like are ``None``); ``run_campaign`` fills it in.
     """
     netlist = sim.netlist
     kinds = {s.kind for s in specs}
     if len(kinds) > 1:
         raise CampaignError("an injection list must not mix fault kinds")
-    mode = kinds.pop() if kinds else (config.mode if config else FaultKind.SET)
-    if specs and mode is FaultKind.SET:
-        if tree is None:
-            raise CampaignError("clock transient injection needs a clock tree")
-        check_cones(netlist, tree, dict.fromkeys(s.target for s in specs))
+    mode = kinds.pop() if kinds else FaultKind.SET
+    if specs:
+        check_targets(netlist, mode, dict.fromkeys(s.target for s in specs), tree)
     for spec in specs:
         if not 0 <= spec.cycle < stimulus.n_cycles:
             raise CampaignError(
@@ -310,14 +320,13 @@ def run_specs(
     return CampaignResult(
         netlist_name=netlist.name,
         mode=mode,
-        seed=config.seed if config else None,
-        injections_per_target=config.injections_per_target if config else None,
-        shared_time_list=config.shared_time_list if config else None,
+        seed=None,
+        injections_per_target=None,
+        shared_time_list=None,
         records=records,
         totals=totals,
         per_target=per_target,
         per_ff=per_ff,
-        label=label,
     )
 
 
@@ -346,9 +355,11 @@ def run_campaign(
     label: str = "",
 ) -> CampaignResult:
     specs = build_specs(sim.netlist, stimulus, cfg, tree)
-    return run_specs(
-        sim, stimulus, specs, tree=tree, golden=golden,
-        workers=workers, config=cfg, label=label,
+    result = run_specs(sim, stimulus, specs, tree=tree, golden=golden, workers=workers)
+    return replace(
+        result, mode=cfg.mode, seed=cfg.seed,
+        injections_per_target=cfg.injections_per_target,
+        shared_time_list=cfg.shared_time_list, label=label,
     )
 
 

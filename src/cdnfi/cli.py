@@ -24,7 +24,7 @@ from . import __version__
 from .campaign import (
     CampaignConfig,
     CampaignError,
-    check_cones,
+    check_targets,
     log_to_csv,
     result_from_json,
     result_to_json,
@@ -228,7 +228,7 @@ def _cmd_campaign(args) -> int:
     # anything is written
     trees = [load_tree(p) for p in tree_paths]
     for tree in trees:
-        check_cones(netlist, tree, tree.buffer_ids())
+        check_targets(netlist, FaultKind.SET, tree.buffer_ids(), tree)
     fit_library = None
     if args.fit_library:
         fit_path = _require_file(args.fit_library, "FIT library")

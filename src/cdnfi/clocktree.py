@@ -182,11 +182,13 @@ def serialize_tree(tree: ClockTree) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _parse_cone(buffer: dict) -> tuple[str, ...]:
-    cone = buffer["cone"]
+def _parse_buffer(buffer: dict) -> ClockBuffer:
+    bid, cone = buffer["id"], buffer["cone"]
+    if not isinstance(bid, str):
+        raise ClockTreeError(f"buffer id {bid!r} must be a string")
     if not isinstance(cone, list) or not all(isinstance(x, str) for x in cone):
-        raise ClockTreeError(f"buffer {buffer['id']!r}: 'cone' must be a list of flip-flop names")
-    return tuple(cone)
+        raise ClockTreeError(f"buffer {bid!r}: 'cone' must be a list of flip-flop names")
+    return ClockBuffer(bid, buffer["stage"], buffer["parent"], tuple(cone))
 
 
 def parse_tree(text: str) -> ClockTree:
@@ -202,10 +204,7 @@ def parse_tree(text: str) -> ClockTree:
             grouping = RandomShuffle(doc["grouping"]["seed"])
         else:
             raise ClockTreeError(f"unknown grouping mode '{mode}'")
-        buffers = tuple(
-            ClockBuffer(b["id"], b["stage"], b["parent"], _parse_cone(b))
-            for b in doc["buffers"]
-        )
+        buffers = tuple(_parse_buffer(b) for b in doc["buffers"])
         tree = ClockTree(buffers, doc["stages"], doc["min_fanout"], grouping)
     except (KeyError, TypeError) as e:
         raise ClockTreeError(f"malformed clock tree document: {e!r}") from e

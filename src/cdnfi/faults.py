@@ -7,7 +7,9 @@ stored value). An upset flips one flip-flop's stored value in place. Both
 write Q slots only; ``Simulator.run`` then re-settles the combinational
 logic so the rest of the cycle observes the corrupted values. Each returns
 an ``InjectionEffect``: the number of flip-flops reached, and the names of
-those whose value changed, which the per-flip-flop tallies need.
+those whose value changed, which the per-flip-flop tallies need. Both trust
+their target: ``campaign.run_specs`` checks every target of a campaign with
+``check_targets`` before any injection runs.
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ from .simulator import Simulator
 class FaultKind(str, Enum):
     SET = "set"
     SEU = "seu"
-
-
-class UnknownFlipFlopError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -63,13 +61,7 @@ def apply_set(
     of the current cycle; only the cone's Q slots of ``v`` are written.
     """
     cone = tree.cone(buffer_id)
-    try:
-        pins = [sim.pins[name] for name in cone]
-    except KeyError as e:
-        raise UnknownFlipFlopError(
-            f"cone of '{buffer_id}' names flip-flop '{e.args[0]}' "
-            f"which is not in netlist '{sim.netlist.name}'"
-        ) from None
+    pins = [sim.pins[name] for name in cone]
     before = [v[q] for q, _, _ in pins]
     sim.clock(v, pins)
     changed = tuple(name for name, (q, _, _), bit in zip(cone, pins, before) if v[q] != bit)
@@ -78,11 +70,6 @@ def apply_set(
 
 def apply_seu(sim: Simulator, v: list[int], ff_name: str) -> InjectionEffect:
     """Flip one flip-flop's stored value, its Q slot in ``v``."""
-    try:
-        q, _, _ = sim.pins[ff_name]
-    except KeyError:
-        raise UnknownFlipFlopError(
-            f"no flip-flop '{ff_name}' in netlist '{sim.netlist.name}'"
-        ) from None
+    q, _, _ = sim.pins[ff_name]
     v[q] ^= 1
     return InjectionEffect(reached=1, changed=(ff_name,))

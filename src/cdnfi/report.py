@@ -160,14 +160,6 @@ class FitLibrary:
             table[name] = fit
         return cls(table)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["cell_class", "fit"])
-        for name in sorted(self.fit):
-            w.writerow([name, render_rate(self.fit[name], 6)])
-        return buf.getvalue()
-
 
 def load_fit_library(path) -> FitLibrary:
     with open(path, "r", encoding="utf-8") as fh:

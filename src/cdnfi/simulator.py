@@ -227,13 +227,13 @@ def parse_stimulus(text: str) -> Stimulus:
         if key not in doc:
             raise StimulusError(f"missing required field '{key}'")
     n_cycles = doc["n_cycles"]
-    if not isinstance(n_cycles, int) or n_cycles < 1:
+    if type(n_cycles) is not int or n_cycles < 1:
         raise StimulusError("'n_cycles' must be a positive integer")
     window = doc["active_window"]
     if (
         not isinstance(window, list)
         or len(window) != 2
-        or not all(isinstance(x, int) for x in window)
+        or not all(type(x) is int for x in window)
     ):
         raise StimulusError("'active_window' must be [first, last]")
     first, last = window

@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Optional
 
 from cdnfi.campaign import Classification, InjectionRecord
 from cdnfi.clocktree import ClockTree
-from cdnfi.faults import FaultKind, FaultSpec, InjectionEffect, UnknownFlipFlopError
+from cdnfi.faults import FaultKind, FaultSpec, InjectionEffect
 from cdnfi.netlist import FlipFlop, Netlist, levelize
 from cdnfi.simulator import GoldenTrace, Simulator, Stimulus
 
@@ -130,7 +130,7 @@ def explicit_pulse_oracle(
     cone = set(tree.cone(buffer_id))
     unknown = sorted(cone - set(netlist.ff_names()))
     if unknown:
-        raise UnknownFlipFlopError(
+        raise ValueError(
             f"cone of '{buffer_id}' names flip-flops not in netlist "
             f"'{netlist.name}': {', '.join(unknown)}"
         )

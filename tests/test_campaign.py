@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -292,10 +293,10 @@ def test_explicit_targets_subset(lfsr, lfsr_stimulus, lfsr_golden):
     assert result.per_ff["cnt.0"].times_upset == 0
 
 
-def test_unknown_target_rejected(lfsr):
+def test_unknown_target_rejected(lfsr, lfsr_stimulus):
     cfg = CampaignConfig(FaultKind.SEU, 1, seed=0, targets=("nope",))
     with pytest.raises(CampaignError, match="nope"):
-        resolve_targets(lfsr, cfg, None)
+        run_campaign(Simulator(lfsr), lfsr_stimulus, cfg)
 
 
 def test_set_mode_requires_tree(lfsr):
@@ -326,6 +327,28 @@ def test_run_specs_rejects_cone_outside_netlist(lfsr, lfsr_stimulus, lfsr_golden
         with pytest.raises(CampaignError, match="cone of buffer 'b'.*'lfsr_counter'.*'x0'"):
             run_specs(
                 Simulator(lfsr), lfsr_stimulus, specs, tree=foreign,
+                golden=lfsr_golden, workers=workers,
+            )
+
+
+@pytest.mark.parametrize("kind, known, unknown, message", [
+    (FaultKind.SEU, "lfsr.0", "nope", "unknown flip-flop target(s): nope"),
+    (FaultKind.SET, "b", "b9", "unknown buffer target(s): b9"),
+])
+def test_run_specs_rejects_unknown_target(lfsr, lfsr_stimulus, lfsr_golden, monkeypatch,
+                                          kind, known, unknown, message):
+    tree = generate_tree(lfsr.ff_names(), 3)
+    specs = [FaultSpec(kind, known, 5), FaultSpec(kind, unknown, 5)]
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the target check must come before any injection or pool")
+
+    monkeypatch.setattr(campaign, "run_injection", must_not_run)
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor", must_not_run)
+    for workers in (1, 2):
+        with pytest.raises(CampaignError, match=re.escape(message)):
+            run_specs(
+                Simulator(lfsr), lfsr_stimulus, specs, tree=tree,
                 golden=lfsr_golden, workers=workers,
             )
 

@@ -565,9 +565,16 @@ def cone_naming_nobody(path):
     path.write_text(json.dumps(doc))
 
 
+def numeric_id(path):
+    doc = json.loads(path.read_text())
+    doc["buffers"][-1]["id"] = 5
+    path.write_text(json.dumps(doc))
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (string_cone, "'cone' must be a list"),
     (cone_naming_nobody, "'nobody'"),
+    (numeric_id, "buffer id 5 must be a string"),
 ])
 def test_campaign_checks_every_tree_before_running(tmp_path, capsys, corrupt, message):
     net = circuit_path("lfsr_counter")
@@ -580,6 +587,74 @@ def test_campaign_checks_every_tree_before_running(tmp_path, capsys, corrupt, me
         "campaign", str(net), str(stimulus_path("lfsr_counter")),
         "--mode", "set", "--tree", str(good), "--tree", str(bad),
         "--injections-per-target", "1", "--out-dir", str(out_dir),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and message in err[0]
+    assert not out_dir.exists()
+
+
+def document(base, drop=None, **changes):
+    doc = {k: v for k, v in json.loads(base).items() if k != drop}
+    return json.dumps({**doc, **changes})
+
+
+TOGGLE_TREE = {"min_fanout": 1, "grouping": {"mode": "by_name"}, "stages": 1}
+TOGGLE_BUFFER = {"id": "b", "stage": 1, "parent": None, "cone": ["t"]}
+GATE = {"id": "inv", "kind": "NOT", "in": ["q"], "out": "d"}
+
+
+# (input replaced, its text, the problem the error line must name)
+MALFORMED = [
+    ("stimulus", "{", "syntax error"),
+    ("stimulus", "[]", "stimulus root must be an object"),
+    ("stimulus", document(TOGGLE_STIMULUS, drop="monitors"), "missing required field 'monitors'"),
+    ("stimulus", document(TOGGLE_STIMULUS, n_cycles=0), "'n_cycles' must be a positive integer"),
+    ("stimulus", document(TOGGLE_STIMULUS, n_cycles=True), "'n_cycles' must be a positive integer"),
+    ("stimulus", document(TOGGLE_STIMULUS, active_window=[0]), "'active_window' must be [first, last]"),
+    ("stimulus", document(TOGGLE_STIMULUS, active_window=[0, True]),
+     "'active_window' must be [first, last]"),
+    ("stimulus", document(TOGGLE_STIMULUS, monitors="q"), "'monitors' must be a list of output names"),
+    ("stimulus", document(TOGGLE_STIMULUS, vectors=[]), "'vectors' must map cycle numbers"),
+    ("stimulus", document(TOGGLE_STIMULUS, vectors={"x": {}}), "vector key 'x' is not a cycle number"),
+    ("stimulus", document(TOGGLE_STIMULUS, vectors={"0": {}, "9": {}}), "vector cycle 9 outside 0..3"),
+    ("stimulus", document(TOGGLE_STIMULUS, vectors={"0": 1}), "vector for cycle 0 must be an object"),
+    ("netlist", "[]", "document root must be an object"),
+    ("netlist", document(TOGGLE_DOC, name=1), "'name' must be a string"),
+    ("netlist", document(TOGGLE_DOC, gates={}), "'gates' must be a list"),
+    ("netlist", document(TOGGLE_DOC, gates=["inv"]), "gate entry 0 must be an object"),
+    ("netlist", document(TOGGLE_DOC, ffs=[None]), "ff entry 0 must be an object"),
+    ("netlist", document(TOGGLE_DOC, gates=[{k: v for k, v in GATE.items() if k != "out"}]),
+     "gate entry 0 missing field 'out'"),
+    ("netlist", document(TOGGLE_DOC, ffs=[{"name": "t", "d": "d", "q": "q"}]),
+     "ff entry 0 missing field 'init'"),
+    ("netlist", document(TOGGLE_DOC, gates=[{**GATE, "in": "q"}]),
+     "gate 'inv': 'in' must be a list of net names"),
+    ("netlist", document(TOGGLE_DOC, gates=[{**GATE, "out": 3}]), "gate 'inv': 'out' must be a net name"),
+    ("golden", "", "trace file is empty"),
+    ("golden", "q\n0,1\n", "trace row 0 has 2 columns, expected 1"),
+    ("tree", json.dumps({**TOGGLE_TREE, "buffers": []}), "lists no buffers"),
+    ("tree", json.dumps({**TOGGLE_TREE, "buffers": [TOGGLE_BUFFER, TOGGLE_BUFFER]}),
+     "duplicate buffer ids"),
+]
+
+
+@pytest.mark.parametrize("input_kind, text, message", MALFORMED,
+                         ids=[f"{kind}-{message}" for kind, _, message in MALFORMED])
+def test_campaign_rejects_malformed_document(tmp_path, capsys, input_kind, text, message):
+    netlist, stimulus = write_toggle(tmp_path)
+    bad = tmp_path / "bad_input"
+    bad.write_text(text)
+    inputs = {"netlist": netlist, "stimulus": stimulus, input_kind: bad}
+    options = {
+        "golden": ["--mode", "seu", "--golden", str(bad)],
+        "tree": ["--mode", "set", "--tree", str(bad)],
+    }.get(input_kind, ["--mode", "seu"])
+    out_dir = tmp_path / "out"
+    rc = main([
+        "campaign", str(inputs["netlist"]), str(inputs["stimulus"]),
+        *options, "--out-dir", str(out_dir),
     ])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()

@@ -5,12 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdnfi.clocktree import RandomShuffle, UnknownBufferError, generate_tree
-from cdnfi.faults import (
-    InjectionEffect,
-    UnknownFlipFlopError,
-    apply_seu,
-    apply_set,
-)
+from cdnfi.faults import InjectionEffect, apply_seu, apply_set
 from cdnfi.netlist import FlipFlop, Gate, Netlist
 from cdnfi.simulator import Simulator
 from gencircuit import random_netlist
@@ -122,9 +117,7 @@ def test_set_unknown_buffer_and_foreign_tree():
     with pytest.raises(UnknownBufferError):
         set_on_state(n, tree, settled(n), "b11")
     foreign = generate_tree(["someone.else"], 1)
-    with pytest.raises(UnknownFlipFlopError, match="someone.else"):
-        set_on_state(n, foreign, settled(n), "b")
-    with pytest.raises(UnknownFlipFlopError, match="someone.else"):
+    with pytest.raises(ValueError, match="someone.else"):
         explicit_pulse_oracle(Stepper(n), foreign, settled(n), "b")
 
 
@@ -137,12 +130,6 @@ def test_seu_flips_and_restores():
     assert effect == InjectionEffect(1, ("t",))
     restored, _ = seu_on_state(n, flipped, "t")
     assert restored == before
-
-
-def test_seu_unknown_ff():
-    n = toggle()
-    with pytest.raises(UnknownFlipFlopError, match="nope"):
-        seu_on_state(n, settled(n), "nope")
 
 
 @settings(max_examples=50, deadline=None)
