@@ -1,18 +1,23 @@
 """Statistical fault-injection campaigns against a golden reference run.
 
-Each injection replays the stimulus from reset on the campaign's compiled
-kernel, applies one fault at its scheduled cycle (mid-cycle: after the
-combinational settle, before the edge), and compares the monitored trace to
-the golden trace from the injection cycle onward. Any difference is a
-functional failure; otherwise the fault was masked. ``run_specs`` checks the
-campaign's inputs once, before the golden run and before any injection
-(``check_targets`` decides that every target can be injected), so an
-injection and the fault functions it calls are plain kernel calls. Injection
-times are drawn uniformly (with replacement) from the stimulus active window
-by a seeded generator, so a campaign is a pure function of its inputs and
-seed. A result holds one ``InjectionRecord`` per injection in list order, the
-row its log and JSON write; its tallies are a function of those records
-(``tally_records``), which keeps multi-worker runs and reruns byte-identical.
+``run_specs`` checks the campaign's inputs once (``check_targets`` decides
+that every target can be injected), then makes the campaign's one fault-free
+pass, which gives the golden trace and a checkpoint of the flip-flop state at
+the start of every cycle; a supplied golden trace must equal that pass.
+Injections do not replay from reset. Each starts from the checkpoint of its
+scheduled cycle on the campaign's compiled kernel, applies one fault
+mid-cycle (after the combinational settle, before the edge), and compares
+each monitored row with the golden row: the first that differs makes it a
+functional failure and stops it. It stops as masked once the flip-flop state
+after an edge is back on the golden path, since the rest of the run then
+depends only on that state and the inputs, or at the end of the stimulus.
+The injections and the fault functions they call are plain kernel calls.
+Injection times are drawn uniformly (with replacement) from the stimulus
+active window by a seeded generator, so a campaign is a pure function of its
+inputs and seed. A result holds one ``InjectionRecord`` per injection in list
+order, the row its log and JSON write; its tallies are a function of those
+records (``tally_records``), which keeps multi-worker runs and reruns
+byte-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import io
 import json
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Collection, Iterable, Optional, Sequence
 
@@ -30,7 +35,7 @@ from .clocktree import ClockTree
 from .faults import FaultKind, FaultSpec, InjectionEffect, apply_set, apply_seu
 from .netlist import Netlist
 from .seeding import derive_rng
-from .simulator import GoldenTrace, Simulator, Stimulus, validate_stimulus
+from .simulator import GoldenTrace, Simulator, Stimulus
 
 
 class CampaignError(Exception):
@@ -123,6 +128,8 @@ class CampaignResult:
     per_target: dict[str, Tally]
     per_ff: dict[str, FFTally]
     label: str = ""
+    # the trace of the campaign's fault-free pass; never serialized
+    golden: Optional[GoldenTrace] = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -153,23 +160,40 @@ def run_injection(
     golden: GoldenTrace,
     spec: FaultSpec,
     tree: Optional[ClockTree] = None,
+    checkpoints: Optional[Sequence[bytes]] = None,
 ) -> tuple[InjectionRecord, tuple[str, ...]]:
-    """Replay the stimulus from reset with one fault applied at spec.cycle.
+    """Run the stimulus from the checkpoint of spec.cycle with one fault applied.
+
+    After each edge the monitored row is compared with the golden one: the
+    first that differs makes the injection a functional failure. A flip-flop
+    state equal to the next cycle's checkpoint makes it masked, and so does
+    the end of the stimulus; either way it stops there. ``checkpoints`` are
+    those ``Simulator.run`` records for the stimulus, and are computed here
+    when none are passed. The result equals a full replay from reset when
+    ``golden`` is the trace of that run, which ``run_specs`` checks.
 
     Returns the injection's record and the flip-flops the fault changed. It
     trusts its inputs, which ``run_specs`` checks once per campaign.
     """
-    effects: list[InjectionEffect] = []
+    if checkpoints is None:
+        checkpoints = []
+        sim.run(stimulus, checkpoints)
 
-    def inject(v: list[int]) -> None:
+    def fault(v: list[int]) -> InjectionEffect:
         if spec.kind is FaultKind.SET:
-            effects.append(apply_set(sim, tree, v, spec.target))
-        else:
-            effects.append(apply_seu(sim, v, spec.target))
+            return apply_set(sim, tree, v, spec.target)
+        return apply_seu(sim, v, spec.target)
 
-    observed = sim.run(stimulus, fault=(spec.cycle, inject))
-    failed = observed.rows[spec.cycle:] != golden.rows[spec.cycle:]
-    (effect,) = effects
+    mon_ids = sim.slots(stimulus.monitors)
+    cycle = spec.cycle
+    v = sim.from_checkpoint(checkpoints[cycle])
+    effect = sim.tick(v, stimulus.input_vectors[cycle], fault)
+    while True:
+        failed = tuple(v[m] for m in mon_ids) != golden.rows[cycle]
+        cycle += 1
+        if failed or cycle == stimulus.n_cycles or sim.q_vector(v) == checkpoints[cycle]:
+            break
+        sim.tick(v, stimulus.input_vectors[cycle])
     record = InjectionRecord(
         spec.kind, spec.target, spec.cycle, effect.reached, len(effect.changed),
         Classification.FUNCTIONAL_FAILURE if failed else Classification.MASKED,
@@ -186,13 +210,13 @@ def run_injection(
 _worker_ctx: dict = {}
 
 
-def _init_worker(sim, stimulus, golden, tree):
-    _worker_ctx["args"] = (sim, stimulus, golden, tree)
+def _init_worker(sim, stimulus, golden, tree, checkpoints):
+    _worker_ctx["args"] = (sim, stimulus, golden, tree, checkpoints)
 
 
 def _run_one(spec: FaultSpec) -> tuple[InjectionRecord, tuple[str, ...]]:
-    sim, stimulus, golden, tree = _worker_ctx["args"]
-    return run_injection(sim, stimulus, golden, spec, tree)
+    sim, stimulus, golden, tree, checkpoints = _worker_ctx["args"]
+    return run_injection(sim, stimulus, golden, spec, tree, checkpoints)
 
 
 def resolve_targets(
@@ -266,12 +290,15 @@ def run_specs(
 ) -> CampaignResult:
     """Run an explicit injection list and aggregate in list order.
 
-    The campaign's inputs are checked here, once, before the golden run and
-    before any injection runs or any worker starts: the list holds one fault
-    kind, every target passes ``check_targets``, every injection cycle lies
-    inside the stimulus, the stimulus fits the netlist, and a supplied golden
-    trace has the stimulus's monitors and cycle count. The result carries no
-    config (``seed`` and the like are ``None``); ``run_campaign`` fills it in.
+    The campaign's inputs are checked here, once, before any injection runs
+    or any worker starts: the list holds one fault kind, every target passes
+    ``check_targets``, every injection cycle lies inside the stimulus, the
+    stimulus fits the netlist, and a supplied golden trace has the
+    stimulus's monitors and cycle count and equals the fault-free pass. That
+    pass, the campaign's only one, runs after the first three checks and
+    gives the golden trace, which the result carries, and the checkpoints the
+    injections start from. The result carries no config (``seed`` and the
+    like are ``None``); ``run_campaign`` fills it in.
     """
     netlist = sim.netlist
     kinds = {s.kind for s in specs}
@@ -285,23 +312,26 @@ def run_specs(
             raise CampaignError(
                 f"injection cycle {spec.cycle} outside stimulus of {stimulus.n_cycles} cycles"
             )
-    if golden is None:
-        golden = sim.run(stimulus)  # checks the stimulus before it runs
-    else:
-        validate_stimulus(netlist, stimulus)
+    checkpoints: list[bytes] = []
+    simulated = sim.run(stimulus, checkpoints)  # checks the stimulus before it runs
+    if golden is not None:
         if golden.monitors != stimulus.monitors or len(golden.rows) != stimulus.n_cycles:
             raise CampaignError("golden trace does not match the stimulus monitors/cycles")
+        for cycle, (row, want) in enumerate(zip(golden.rows, simulated.rows)):
+            if row != want:
+                raise CampaignError(f"golden trace differs from the simulated run at cycle {cycle}")
 
-    if workers > 1 and len(specs) > 1:
+    n_workers = min(workers, len(specs))
+    if n_workers > 1:
         with ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=n_workers,
             initializer=_init_worker,
-            initargs=(sim, stimulus, golden, tree),
+            initargs=(sim, stimulus, simulated, tree, checkpoints),
         ) as pool:
-            chunk = max(1, len(specs) // (workers * 8))
+            chunk = max(1, len(specs) // (n_workers * 8))
             runs = list(pool.map(_run_one, specs, chunksize=chunk))
     else:
-        runs = [run_injection(sim, stimulus, golden, s, tree) for s in specs]
+        runs = [run_injection(sim, stimulus, simulated, s, tree, checkpoints) for s in specs]
 
     # aggregation depends only on the spec list order, never completion order
     records = tuple(record for record, _ in runs)
@@ -327,6 +357,7 @@ def run_specs(
         totals=totals,
         per_target=per_target,
         per_ff=per_ff,
+        golden=simulated,
     )
 
 

@@ -234,12 +234,11 @@ def _cmd_campaign(args) -> int:
         fit_path = _require_file(args.fit_library, "FIT library")
         fit_library = load_fit_library(fit_path)
         input_files.append(fit_path)
+    golden = None
     if args.golden:
         golden_path = _require_file(args.golden, "golden trace")
         golden = load_trace(golden_path)
         input_files.append(golden_path)
-    else:
-        golden = sim.run(stimulus)
 
     cfg = CampaignConfig(
         mode=mode,
@@ -260,7 +259,7 @@ def _cmd_campaign(args) -> int:
     outputs: list[Path] = []
     if not args.golden:
         golden_path = out_dir / "golden.csv"
-        save_trace(golden, golden_path)
+        save_trace(results[0].golden, golden_path)
         outputs.append(golden_path)
     for result in results:
         log_path = out_dir / f"log_{result.label}.csv"

@@ -3,13 +3,15 @@
 Each cycle applies that cycle's input vector, settles the combinational
 logic, fires the clock edge (every flip-flop simultaneously takes
 ``enable ? D : Q``), then settles again so monitored outputs are sampled
-after the edge. ``Simulator.run`` is the only cycle loop: the golden run and
-every injection go through it, on one flat list of net values whose Q slots
-hold the flip-flop state. A fault injection passes a mid-cycle hook that
-writes Q values into that list; the kernel re-settles before the edge. The
-netlist is checked once, when it is parsed, and the stimulus once per
-campaign: a golden run checks it with ``validate_stimulus`` before the loop,
-an injection replay trusts the campaign's check.
+after the edge. ``Simulator.tick`` is that one cycle, on one flat list of net
+values whose Q slots hold the flip-flop state; an injection passes it a
+mid-cycle hook that writes Q values into the list, and the kernel re-settles
+before the edge. ``Simulator.run`` is the fault-free pass from reset: it
+records the golden trace and, on request, a checkpoint of the Q slots at the
+start of every cycle. Injections do not replay from reset: each starts from
+the checkpoint of its cycle (``campaign.run_injection``). The netlist is
+checked once, when it is parsed, and the stimulus by ``run`` with
+``validate_stimulus`` before the loop.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Callable, Collection, Mapping, Optional
+from typing import Callable, Collection, Iterable, Mapping, Optional
 
 from .netlist import Netlist, is_bit, levelize
 
@@ -111,6 +113,7 @@ class Simulator:
             for f in netlist.flipflops
         }
         self._input_ids = {p: self._net_ids[p] for p in netlist.inputs}
+        self._q_ids = tuple(q for q, _, _ in self.pins.values())
 
     def _write_inputs(self, v: list[int], inputs: Mapping[str, int]) -> None:
         for port, idx in self._input_ids.items():
@@ -148,36 +151,60 @@ class Simulator:
         for (q, _, _), bit in zip(pins, new):
             v[q] = bit
 
-    def run(
-        self,
-        stimulus: Stimulus,
-        fault: Optional[tuple[int, Callable[[list[int]], None]]] = None,
-    ) -> GoldenTrace:
-        """Simulate the whole stimulus from reset, sampling monitors after every edge.
+    def slots(self, nets: Iterable[str]) -> list[int]:
+        """The value-list slots of these nets, in order."""
+        return [self._net_ids[net] for net in nets]
 
-        ``fault`` is ``(cycle, apply)``: at that cycle, after the mid-cycle
-        settle, ``apply(v)`` writes new Q values into the value list; the
-        kernel re-settles and the clock edge latches from the result. A
-        golden run (no ``fault``) checks the stimulus first; an injection
-        replays a stimulus its campaign has checked.
-        """
-        if fault is None:
-            validate_stimulus(self.netlist, stimulus)
-        mon_ids = [self._net_ids[m] for m in stimulus.monitors]
-        fault_cycle, apply = fault if fault is not None else (-1, None)
+    def q_vector(self, v: list[int]) -> bytes:
+        """The Q slots of ``v`` in flip-flop order: a checkpoint of the state."""
+        return bytes([v[q] for q in self._q_ids])
+
+    def from_checkpoint(self, state: bytes) -> list[int]:
+        """A zeroed value list whose Q slots hold a ``q_vector`` checkpoint."""
         v = [0] * len(self.net_names)
-        for f in self.netlist.flipflops:
-            v[self.pins[f.name][0]] = f.init
+        for q, bit in zip(self._q_ids, state):
+            v[q] = bit
+        return v
+
+    def tick(
+        self,
+        v: list[int],
+        inputs: Mapping[str, int],
+        fault: Optional[Callable[[list[int]], object]] = None,
+    ) -> object:
+        """One cycle on the value list ``v``: write the inputs, settle, then,
+        when a ``fault`` is given, let it write Q values into ``v`` and settle
+        again; fire the clock edge and settle. Returns what ``fault`` returned.
+        """
+        self._write_inputs(v, inputs)
+        self._settle(v)
+        effect = None
+        if fault is not None:
+            effect = fault(v)
+            self._settle(v)
+        self.clock(v, self.pins.values())
+        self._settle(v)
+        return effect
+
+    def run(self, stimulus: Stimulus, checkpoints: Optional[list[bytes]] = None) -> GoldenTrace:
+        """The fault-free pass: check the stimulus, then simulate it from
+        reset, sampling the monitors after every edge.
+
+        When ``checkpoints`` is a list, the pass appends the ``q_vector`` at
+        the start of every cycle and after the last edge to it, so it ends
+        with ``n_cycles + 1`` checkpoints.
+        """
+        validate_stimulus(self.netlist, stimulus)
+        mon_ids = self.slots(stimulus.monitors)
+        v = self.from_checkpoint(bytes(f.init for f in self.netlist.flipflops))
         rows = []
-        for cycle in range(stimulus.n_cycles):
-            self._write_inputs(v, stimulus.input_vectors[cycle])
-            self._settle(v)
-            if cycle == fault_cycle:
-                apply(v)
-                self._settle(v)
-            self.clock(v, self.pins.values())
-            self._settle(v)
+        for inputs in stimulus.input_vectors:
+            if checkpoints is not None:
+                checkpoints.append(self.q_vector(v))
+            self.tick(v, inputs)
             rows.append(tuple(v[m] for m in mon_ids))
+        if checkpoints is not None:
+            checkpoints.append(self.q_vector(v))
         return GoldenTrace(stimulus.monitors, tuple(rows))
 
 

@@ -12,6 +12,7 @@ from cdnfi.campaign import (
     CampaignConfig,
     CampaignError,
     Classification,
+    FFTally,
     build_specs,
     log_to_csv,
     resolve_targets,
@@ -52,6 +53,15 @@ def deadend():
         "deadend", ["x"], ["y"],
         [Gate("g", "BUF", ("x",), "y")],
         [FlipFlop("dead", "x", "dead_q", None, 0)],
+    )
+
+
+def held():
+    """The flip-flop keeps its stored value, which no output shows."""
+    return Netlist.build(
+        "held", ["x"], ["y"],
+        [Gate("g", "BUF", ("x",), "y")],
+        [FlipFlop("h", "h_q", "h_q", None, 0)],
     )
 
 
@@ -173,6 +183,8 @@ def test_injection_validations(monkeypatch):
     st = autonomous_stimulus(n, 4)
     golden = golden_for(n, st)
     short = GoldenTrace(st.monitors, golden.rows[:2])
+    # the right shape, one bit off the simulated run
+    stale = GoldenTrace(st.monitors, golden.rows[:2] + (((1 - golden.rows[2][0]),),) + golden.rows[3:])
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("a campaign input must be checked before any injection or pool")
@@ -187,6 +199,7 @@ def test_injection_validations(monkeypatch):
         (CampaignError, "cycle 9", st, upsets + [FaultSpec(FaultKind.SEU, "t", 9)], golden),
         (CampaignError, "clock tree", st, [FaultSpec(FaultKind.SET, "b", 1)] * 2, golden),
         (CampaignError, "golden", st, upsets, short),
+        (CampaignError, "golden trace differs from the simulated run at cycle 2$", st, upsets, stale),
         (StimulusError, "outputs of 'toggle': nope", unknown_monitor, upsets, fitting_golden),
     ]
     for error, message, stimulus, specs, golden_arg in cases:
@@ -211,6 +224,101 @@ def test_run_injection_matches_full_replay(seed, kind):
         spec = FaultSpec(kind, rng.choice(targets), rng.randrange(st.n_cycles))
         fast = run_injection(sim, st, golden, spec, tree)
         assert fast == replay_injection(Stepper(n), st, golden, spec, tree)
+
+
+@pytest.mark.parametrize("build, target, classification, cycles", [
+    # the first monitored row after the fault differs from the golden one
+    (toggle, "t", Classification.FUNCTIONAL_FAILURE, 1),
+    # the edge reloads the struck flip-flop: the state is back on the golden path
+    (deadend, "dead", Classification.MASKED, 1),
+    # the struck flip-flop keeps its flipped value to the end, and no output shows it
+    (held, "h", Classification.MASKED, 4),
+], ids=["mismatch", "reconverged", "end-of-stimulus"])
+def test_injection_stop_paths(monkeypatch, build, target, classification, cycles):
+    n = build()
+    st = Stimulus(5, tuple({p: c % 2 for p in n.inputs} for c in range(5)), (0, 4), tuple(n.outputs))
+    sim = Simulator(n)
+    checkpoints = []
+    golden = sim.run(st, checkpoints)
+    ticks = []
+    tick = sim.tick
+
+    def counted(*args):
+        ticks.append(args)
+        return tick(*args)
+
+    monkeypatch.setattr(sim, "tick", counted)
+    record, changed = run_injection(sim, st, golden, FaultSpec(FaultKind.SEU, target, 1),
+                                    checkpoints=checkpoints)
+    assert record.classification is classification
+    assert changed == (target,)
+    assert len(ticks) == cycles
+
+
+def stepper_golden(ref, stimulus):
+    """The fault-free trace, simulated on the reference stepper."""
+    state = ref.reset()
+    rows = []
+    for inputs in stimulus.input_vectors:
+        state = ref.step_cycle(state, inputs)
+        rows.append(tuple(state.net_values[m] for m in stimulus.monitors))
+    return GoldenTrace(stimulus.monitors, tuple(rows))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=hst.integers(min_value=0, max_value=10_000), kind=hst.sampled_from(list(FaultKind)))
+def test_run_specs_matches_full_replay(seed, kind):
+    # whole campaigns, checkpointed and stopped early, against the reference
+    # stepper's full replay from reset, with the first and last cycles injected
+    rng = random.Random(seed)
+    n = random_netlist(rng)
+    st = random_stimulus(rng, n)
+    tree = generate_tree(n.ff_names(), rng.randint(1, 3), RandomShuffle(seed))
+    targets = tree.buffer_ids() if kind is FaultKind.SET else n.ff_names()
+    cycles = [0, st.n_cycles - 1] + [rng.randrange(st.n_cycles) for _ in range(6)]
+    specs = [FaultSpec(kind, rng.choice(targets), c) for c in cycles]
+    ref = Stepper(n)
+    golden = stepper_golden(ref, st)
+    replays = [replay_injection(ref, st, golden, spec, tree) for spec in specs]
+    per_ff = {}
+    for name in n.ff_names():
+        hits = sum(name in changed for _, changed in replays)
+        fails = sum(name in changed for record, changed in replays
+                    if record.classification is Classification.FUNCTIONAL_FAILURE)
+        per_ff[name] = FFTally(hits, fails, 0, 0) if kind is FaultKind.SET else FFTally(0, 0, hits, fails)
+    for workers, supplied in ((1, None), (2, golden)):
+        result = run_specs(Simulator(n), st, specs, tree=tree, golden=supplied, workers=workers)
+        assert result.records == tuple(record for record, _ in replays)
+        assert result.per_ff == per_ff
+        assert result.golden == golden
+
+
+def test_pool_never_starts_more_workers_than_injections(lfsr, lfsr_stimulus, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(campaign, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(campaign, "_worker_ctx", {})
+    specs = [FaultSpec(FaultKind.SEU, "lfsr.0", 5), FaultSpec(FaultKind.SEU, "lfsr.1", 9)]
+    serial = run_specs(Simulator(lfsr), lfsr_stimulus, specs)
+    assert run_specs(Simulator(lfsr), lfsr_stimulus, specs, workers=64) == serial
+    assert sizes == [2]
+    # a single injection runs in this process
+    run_specs(Simulator(lfsr), lfsr_stimulus, specs[:1], workers=64)
+    assert sizes == [2]
 
 
 # ---------------------------------------------------------------------------

@@ -430,8 +430,8 @@ def test_campaign_loads_every_input_before_writing(tmp_path, capsys, option, tex
 
 
 def test_campaign_checks_netlist_and_stimulus_once(tmp_path, monkeypatch):
-    # the netlist is validated when parsed, and the stimulus by the golden run
-    # and once more by the campaign, never per injection
+    # the netlist is validated when parsed, and the stimulus by the campaign's
+    # fault-free pass, never per injection
     from cdnfi import campaign, netlist, simulator
 
     calls = {"validate": 0, "validate_stimulus": 0}
@@ -457,7 +457,63 @@ def test_campaign_checks_netlist_and_stimulus_once(tmp_path, monkeypatch):
     injected = json.loads((tmp_path / "out" / "result_seu.json").read_text())["totals"]["injected"]
     assert injected > 1
     assert calls["validate"] == 1
-    assert 1 <= calls["validate_stimulus"] <= 2
+    assert calls["validate_stimulus"] == 1
+
+
+@pytest.mark.parametrize("golden", [False, True], ids=["computed", "supplied"])
+def test_campaign_simulates_once_per_campaign_inside_run_specs(tmp_path, monkeypatch, golden):
+    from cdnfi import campaign, simulator
+
+    passes = []
+    at_entry = []
+    run, run_specs = simulator.Simulator.run, campaign.run_specs
+
+    def counted_run(self, *args, **kwargs):
+        passes.append(self)
+        return run(self, *args, **kwargs)
+
+    def entered(*args, **kwargs):
+        at_entry.append(len(passes))
+        return run_specs(*args, **kwargs)
+
+    monkeypatch.setattr(simulator.Simulator, "run", counted_run)
+    monkeypatch.setattr(campaign, "run_specs", entered)
+    ffs = load_netlist(circuit_path("lfsr_counter")).ff_names()
+    trees = []
+    for seed in (1, 2):
+        trees += ["--tree", str(tmp_path / f"cdn{seed}.json")]
+        save_tree(generate_tree(ffs, 3, RandomShuffle(seed)), trees[-1])
+    rc = main([
+        "campaign", str(circuit_path("lfsr_counter")), str(stimulus_path("lfsr_counter")),
+        *(["--golden", str(golden_path("lfsr_counter"))] if golden else []),
+        "--mode", "set", *trees, "--injections-per-target", "2",
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 0
+    # one fault-free pass per campaign, none before the first campaign starts
+    assert at_entry == [0, 1]
+    assert len(passes) == 2
+    assert (tmp_path / "out" / "golden.csv").exists() is not golden
+
+
+def test_campaign_rejects_golden_that_differs_from_the_run(tmp_path, capsys):
+    lines = golden_path("lfsr_counter").read_text().splitlines()
+    cells = lines[6].split(",")  # cycle 5, after the header line
+    cells[0] = str(1 - int(cells[0]))
+    lines[6] = ",".join(cells)
+    stale = tmp_path / "stale.csv"
+    stale.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "out"
+    rc = main([
+        "campaign", str(circuit_path("lfsr_counter")), str(stimulus_path("lfsr_counter")),
+        "--golden", str(stale), "--mode", "seu", "--injections-per-target", "1",
+        "--out-dir", str(out_dir),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: golden trace differs from the simulated run at cycle 5"
+    ]
+    assert not out_dir.exists()
 
 
 def test_campaign_rejects_tree_naming_unknown_flipflops(tmp_path, capsys):
