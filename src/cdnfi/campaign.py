@@ -2,15 +2,16 @@
 
 ``run_specs`` checks the campaign's inputs once (``check_targets`` decides
 that every target can be injected), then makes the campaign's one fault-free
-pass, which gives the golden trace and a checkpoint of the flip-flop state at
-the start of every cycle; a supplied golden trace must equal that pass.
-Injections do not replay from reset. Each starts from the checkpoint of its
-scheduled cycle on the campaign's compiled kernel, applies one fault
-mid-cycle (after the combinational settle, before the edge), and compares
-each monitored row with the golden row: the first that differs makes it a
-functional failure and stops it. It stops as masked once the flip-flop state
-after an edge is back on the golden path, since the rest of the run then
-depends only on that state and the inputs, or at the end of the stimulus.
+pass, which gives the golden trace and a checkpoint of the net values of
+every cycle; a supplied golden trace must equal that pass. Injections do not
+replay from reset. Each starts from the checkpoint of its scheduled cycle on
+the campaign's compiled kernel, applies one fault mid-cycle (after the
+combinational settle, before the edge), simulates only what then differs
+from the fault-free run, and compares each monitored row with the golden
+row: the first that differs makes it a functional failure and stops it. It
+stops as masked once the flip-flop state after an edge is back on the golden
+path, since the rest of the run then depends only on that state and the
+inputs, or at the end of the stimulus.
 The injections and the fault functions they call are plain kernel calls.
 Injection times are drawn uniformly (with replacement) from the stimulus
 active window by a seeded generator, so a campaign is a pure function of its
@@ -32,10 +33,10 @@ from enum import Enum
 from typing import Collection, Iterable, Optional, Sequence
 
 from .clocktree import ClockTree
-from .faults import FaultKind, FaultSpec, InjectionEffect, apply_set, apply_seu
+from .faults import FaultKind, FaultSpec, apply_set, apply_seu
 from .netlist import Netlist
 from .seeding import derive_rng
-from .simulator import GoldenTrace, Simulator, Stimulus
+from .simulator import Checkpoint, GoldenTrace, Simulator, Stimulus
 
 
 class CampaignError(Exception):
@@ -160,17 +161,20 @@ def run_injection(
     golden: GoldenTrace,
     spec: FaultSpec,
     tree: Optional[ClockTree] = None,
-    checkpoints: Optional[Sequence[bytes]] = None,
+    checkpoints: Optional[Sequence[Checkpoint]] = None,
 ) -> tuple[InjectionRecord, tuple[str, ...]]:
     """Run the stimulus from the checkpoint of spec.cycle with one fault applied.
 
-    After each edge the monitored row is compared with the golden one: the
-    first that differs makes the injection a functional failure. A flip-flop
-    state equal to the next cycle's checkpoint makes it masked, and so does
-    the end of the stimulus; either way it stops there. ``checkpoints`` are
-    those ``Simulator.run`` records for the stimulus, and are computed here
-    when none are passed. The result equals a full replay from reset when
-    ``golden`` is the trace of that run, which ``run_specs`` checks.
+    The fault strikes the settled values of its cycle's checkpoint; from
+    then on the run is kept as the flip-flops and nets that differ from the
+    fault-free run (``Simulator.tick_diff``). After each edge the monitored
+    row is compared with the golden one: the first that differs makes the
+    injection a functional failure. A flip-flop state with no difference
+    left makes it masked, and so does the end of the stimulus; either way it
+    stops there. ``checkpoints`` are those ``Simulator.run`` records for the
+    stimulus, and are computed here when none are passed. The result equals
+    a full replay from reset when ``golden`` is the trace of that run, which
+    ``run_specs`` checks.
 
     Returns the injection's record and the flip-flops the fault changed. It
     trusts its inputs, which ``run_specs`` checks once per campaign.
@@ -178,22 +182,20 @@ def run_injection(
     if checkpoints is None:
         checkpoints = []
         sim.run(stimulus, checkpoints)
-
-    def fault(v: list[int]) -> InjectionEffect:
-        if spec.kind is FaultKind.SET:
-            return apply_set(sim, tree, v, spec.target)
-        return apply_seu(sim, v, spec.target)
-
-    mon_ids = sim.slots(stimulus.monitors)
     cycle = spec.cycle
-    v = sim.from_checkpoint(checkpoints[cycle])
-    effect = sim.tick(v, stimulus.input_vectors[cycle], fault)
+    v = list(checkpoints[cycle].settled)
+    if spec.kind is FaultKind.SET:
+        effect = apply_set(sim, tree, v, spec.target)
+    else:
+        effect = apply_seu(sim, v, spec.target)
+    state = {q: v[q] for q, _, _ in (sim.pins[name] for name in effect.changed)}
+    mon_ids = sim.slots(stimulus.monitors)
     while True:
-        failed = tuple(v[m] for m in mon_ids) != golden.rows[cycle]
+        state, row = sim.tick_diff(state, checkpoints[cycle], mon_ids)
+        failed = row != golden.rows[cycle]
         cycle += 1
-        if failed or cycle == stimulus.n_cycles or sim.q_vector(v) == checkpoints[cycle]:
+        if failed or not state or cycle == stimulus.n_cycles:
             break
-        sim.tick(v, stimulus.input_vectors[cycle])
     record = InjectionRecord(
         spec.kind, spec.target, spec.cycle, effect.reached, len(effect.changed),
         Classification.FUNCTIONAL_FAILURE if failed else Classification.MASKED,
@@ -203,6 +205,11 @@ def run_injection(
 
 # ---------------------------------------------------------------------------
 # campaign driving
+
+# a pool worker costs a fork and a copy-on-write share of the kernel; with
+# fewer injections than this per worker, a two-worker pool took at least as
+# long as the serial loop on both the bundled and the synthetic circuits
+POOL_MIN_PER_WORKER = 512
 
 # per-worker context for process pools, set once by the initializer so specs
 # are the only payload crossing process boundaries per task; the compiled
@@ -312,7 +319,7 @@ def run_specs(
             raise CampaignError(
                 f"injection cycle {spec.cycle} outside stimulus of {stimulus.n_cycles} cycles"
             )
-    checkpoints: list[bytes] = []
+    checkpoints: list[Checkpoint] = []
     simulated = sim.run(stimulus, checkpoints)  # checks the stimulus before it runs
     if golden is not None:
         if golden.monitors != stimulus.monitors or len(golden.rows) != stimulus.n_cycles:
@@ -321,7 +328,7 @@ def run_specs(
             if row != want:
                 raise CampaignError(f"golden trace differs from the simulated run at cycle {cycle}")
 
-    n_workers = min(workers, len(specs))
+    n_workers = min(workers, len(specs) // POOL_MIN_PER_WORKER)
     if n_workers > 1:
         with ProcessPoolExecutor(
             max_workers=n_workers,

@@ -4,12 +4,12 @@ A transient on a clock buffer acts as a premature extra clock edge for every
 flip-flop in that buffer's cone: ``Simulator.clock`` latches the cone, each
 flip-flop copying its input value to its output (a disabled one keeps its
 stored value). An upset flips one flip-flop's stored value in place. Both
-write Q slots only; ``Simulator.tick`` then re-settles the combinational
-logic so the rest of the cycle observes the corrupted values. Each returns
-an ``InjectionEffect``: the number of flip-flops reached, and the names of
-those whose value changed, which the per-flip-flop tallies need. Both trust
-their target: ``campaign.run_specs`` checks every target of a campaign with
-``check_targets`` before any injection runs.
+write Q slots only; ``Simulator.tick_diff`` then settles the differences
+they made, so the rest of the cycle observes the corrupted values. Each
+returns an ``InjectionEffect``: the number of flip-flops reached, and the
+names of those whose value changed, which the per-flip-flop tallies need.
+Both trust their target: ``campaign.run_specs`` checks every target of a
+campaign with ``check_targets`` before any injection runs.
 """
 
 from __future__ import annotations

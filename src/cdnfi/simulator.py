@@ -3,24 +3,27 @@
 Each cycle applies that cycle's input vector, settles the combinational
 logic, fires the clock edge (every flip-flop simultaneously takes
 ``enable ? D : Q``), then settles again so monitored outputs are sampled
-after the edge. ``Simulator.tick`` is that one cycle, on one flat list of net
-values whose Q slots hold the flip-flop state; an injection passes it a
-mid-cycle hook that writes Q values into the list, and the kernel re-settles
-before the edge. ``Simulator.run`` is the fault-free pass from reset: it
-records the golden trace and, on request, a checkpoint of the Q slots at the
-start of every cycle. Injections do not replay from reset: each starts from
-the checkpoint of its cycle (``campaign.run_injection``). The netlist is
-checked once, when it is parsed, and the stimulus by ``run`` with
-``validate_stimulus`` before the loop.
+after the edge. ``Simulator.run`` is the fault-free pass from reset, on one
+flat list of net values whose Q slots hold the flip-flop state: it records
+the golden trace and, on request, a ``Checkpoint`` of every cycle, the
+settled values before its edge and after it. Injections do not replay from
+reset. A faulty run is kept as its difference from the fault-free one:
+``Simulator.tick_diff`` takes the Q slots that differ at the fault point of
+a cycle and re-evaluates only the gates and flip-flops those differences
+reach, against that cycle's checkpoint (``campaign.run_injection``). The
+netlist is checked once, when it is parsed, and the stimulus by ``run``
+with ``validate_stimulus`` before the loop.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import json
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Mapping, Optional
+from functools import cached_property
+from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .netlist import Netlist, is_bit, levelize
 
@@ -80,11 +83,22 @@ class GoldenTrace:
         return cls(monitors, tuple(data))
 
 
+class Checkpoint(NamedTuple):
+    """The fault-free net values of one cycle, one byte per value-list slot:
+    ``settled`` after its inputs settle, where a fault strikes, and
+    ``sampled`` after its edge settles, where the monitors are read."""
+
+    settled: bytes
+    sampled: bytes
+
+
 # opcode table for the compiled evaluation plan
 _OPS = {
     "AND": 0, "OR": 1, "NOT": 2, "XOR": 3, "NAND": 4,
     "NOR": 5, "XNOR": 6, "BUF": 7, "MUX2": 8, "CONST0": 9, "CONST1": 10,
 }
+# inputs each opcode reads
+_ARITY = (2, 2, 1, 2, 2, 2, 2, 1, 3, 0, 0)
 
 
 class Simulator:
@@ -112,8 +126,9 @@ class Simulator:
             )
             for f in netlist.flipflops
         }
+        self._pin_list = tuple(self.pins.values())
         self._input_ids = {p: self._net_ids[p] for p in netlist.inputs}
-        self._q_ids = tuple(q for q, _, _ in self.pins.values())
+        self._q_ids = tuple(q for q, _, _ in self._pin_list)
 
     def _write_inputs(self, v: list[int], inputs: Mapping[str, int]) -> None:
         for port, idx in self._input_ids.items():
@@ -155,57 +170,152 @@ class Simulator:
         """The value-list slots of these nets, in order."""
         return [self._net_ids[net] for net in nets]
 
-    def q_vector(self, v: list[int]) -> bytes:
-        """The Q slots of ``v`` in flip-flop order: a checkpoint of the state."""
-        return bytes([v[q] for q in self._q_ids])
+    def tick_diff(
+        self, state: Mapping[int, int], checkpoint: Checkpoint, monitors: Sequence[int]
+    ) -> tuple[dict[int, int], tuple[int, ...]]:
+        """One cycle of a faulty run, kept as its difference from the
+        fault-free cycle that ``checkpoint`` records.
 
-    def from_checkpoint(self, state: bytes) -> list[int]:
-        """A zeroed value list whose Q slots hold a ``q_vector`` checkpoint."""
-        v = [0] * len(self.net_names)
-        for q, bit in zip(self._q_ids, state):
-            v[q] = bit
-        return v
-
-    def tick(
-        self,
-        v: list[int],
-        inputs: Mapping[str, int],
-        fault: Optional[Callable[[list[int]], object]] = None,
-    ) -> object:
-        """One cycle on the value list ``v``: write the inputs, settle, then,
-        when a ``fault`` is given, let it write Q values into ``v`` and settle
-        again; fire the clock edge and settle. Returns what ``fault`` returned.
+        ``state`` maps the Q slots that differ at the fault point, after the
+        inputs settle, to their faulty values. The differences are settled,
+        the edge fires and the differences settle again; only the gates and
+        flip-flops a difference reaches are evaluated. Returns the Q slots
+        that differ after the edge, the next cycle's ``state``, and the
+        values of the ``monitors`` slots then.
         """
-        self._write_inputs(v, inputs)
-        self._settle(v)
-        effect = None
-        if fault is not None:
-            effect = fault(v)
-            self._settle(v)
-        self.clock(v, self.pins.values())
-        self._settle(v)
-        return effect
+        settled, sampled = checkpoint
+        diff = dict(state)
+        self._spread(settled, diff)
+        pins = self._pin_list
+        after = {}
+        for f in self._latchers.union(diff):
+            q, d, en = pins[f]
+            if en < 0 or diff.get(en, settled[en]):
+                bit = diff.get(d, settled[d])
+            else:
+                bit = diff.get(q, settled[q])
+            if bit != sampled[q]:
+                after[q] = bit
+        diff = dict(after)
+        self._spread(sampled, diff)
+        return after, tuple(diff.get(m, sampled[m]) for m in monitors)
 
-    def run(self, stimulus: Stimulus, checkpoints: Optional[list[bytes]] = None) -> GoldenTrace:
+    def _spread(self, base: bytes, diff: dict[int, int]) -> None:
+        """Settle the differences ``diff`` from the settled values ``base``:
+        every gate that reads a differing slot is evaluated, in plan order,
+        and its output joins ``diff`` when it differs from ``base``."""
+        plan = self._plan
+        flat, ends = self._fanout.flat, self._fanout.ends
+        queued = self._fanout.union(diff)
+        pending = sorted(queued)
+        get = diff.get
+        pop, push = heapq.heappop, heapq.heappush
+        while pending:
+            op, i0, i1, i2, out = plan[pop(pending)]
+            a = get(i0, base[i0])
+            b = get(i1, base[i1])
+            if op == 0:
+                bit = a & b
+            elif op == 1:
+                bit = a | b
+            elif op == 2:
+                bit = a ^ 1
+            elif op == 3:
+                bit = a ^ b
+            elif op == 4:
+                bit = (a & b) ^ 1
+            elif op == 5:
+                bit = (a | b) ^ 1
+            elif op == 6:
+                bit = a ^ b ^ 1
+            elif op == 7:
+                bit = a
+            elif op == 8:
+                bit = b if get(i2, base[i2]) else a
+            elif op == 9:
+                bit = 0
+            else:
+                bit = 1
+            if bit != base[out]:
+                diff[out] = bit
+                for g in flat[ends[out]:ends[out + 1]]:
+                    if g not in queued:
+                        queued.add(g)
+                        push(pending, g)
+
+    @cached_property
+    def _fanout(self) -> "_Readers":
+        """Per slot, the plan indices of the gates that read it, in plan order."""
+        return _Readers(len(self.net_names), (
+            (g, (i0, i1, i2)[:_ARITY[op]]) for g, (op, i0, i1, i2, _) in enumerate(self._plan)
+        ))
+
+    @cached_property
+    def _latchers(self) -> "_Readers":
+        """Per slot, the indices of the flip-flops whose Q, D or enable it is."""
+        return _Readers(len(self.net_names), (
+            (f, [slot for slot in pins if slot >= 0]) for f, pins in enumerate(self._pin_list)
+        ))
+
+    def run(self, stimulus: Stimulus, checkpoints: Optional[list[Checkpoint]] = None) -> GoldenTrace:
         """The fault-free pass: check the stimulus, then simulate it from
         reset, sampling the monitors after every edge.
 
-        When ``checkpoints`` is a list, the pass appends the ``q_vector`` at
-        the start of every cycle and after the last edge to it, so it ends
-        with ``n_cycles + 1`` checkpoints.
+        When ``checkpoints`` is a list, the pass appends the ``Checkpoint``
+        of every cycle to it.
         """
         validate_stimulus(self.netlist, stimulus)
         mon_ids = self.slots(stimulus.monitors)
-        v = self.from_checkpoint(bytes(f.init for f in self.netlist.flipflops))
+        v = [0] * len(self.net_names)
+        for q, f in zip(self._q_ids, self.netlist.flipflops):
+            v[q] = f.init
         rows = []
         for inputs in stimulus.input_vectors:
+            self._write_inputs(v, inputs)
+            self._settle(v)
             if checkpoints is not None:
-                checkpoints.append(self.q_vector(v))
-            self.tick(v, inputs)
+                settled = bytes(v)
+            self.clock(v, self._pin_list)
+            self._settle(v)
+            if checkpoints is not None:
+                checkpoints.append(Checkpoint(settled, bytes(v)))
             rows.append(tuple(v[m] for m in mon_ids))
-        if checkpoints is not None:
-            checkpoints.append(self.q_vector(v))
         return GoldenTrace(stimulus.monitors, tuple(rows))
+
+
+class _Readers:
+    """Per value-list slot, the readers of that slot: those of slot ``s`` are
+    ``flat[ends[s]:ends[s + 1]]``. Two flat lists of ints, not a container
+    per slot: thousands of new containers, built inside a campaign, set off
+    a full collection of the cyclic garbage collector there, and whether it
+    fell inside varied with the netlist."""
+
+    def __init__(self, n_slots: int, reads: Iterable[tuple[int, Iterable[int]]]):
+        read_slots, read_by = [], []
+        for reader, slots in reads:
+            for slot in set(slots):
+                read_slots.append(slot)
+                read_by.append(reader)
+        ends = [0] * (n_slots + 1)
+        for slot in read_slots:
+            ends[slot + 1] += 1
+        for slot in range(n_slots):
+            ends[slot + 1] += ends[slot]
+        flat = [0] * len(read_slots)
+        fill = ends[:-1]
+        for slot, reader in zip(read_slots, read_by):
+            flat[fill[slot]] = reader
+            fill[slot] += 1
+        self.ends = ends
+        self.flat = flat
+
+    def union(self, slots: Iterable[int]) -> set[int]:
+        """The readers of any of these slots."""
+        flat, ends = self.flat, self.ends
+        readers = set()
+        for slot in slots:
+            readers.update(flat[ends[slot]:ends[slot + 1]])
+        return readers
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ def fault_on_state(
     state: SimState,
     apply: Callable[[list[int]], InjectionEffect],
 ) -> tuple[SimState, InjectionEffect]:
-    """Run ``apply`` on a settled state as ``Simulator.tick`` does mid-cycle.
+    """Run ``apply`` on a settled state as ``campaign.run_injection`` does.
 
     The state's nets become the kernel's value list, ``apply`` writes Q
     values into it, and the stepper settles the result again for the same

@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from cdnfi import campaign
 from cdnfi.bundled import circuit_path
 from cdnfi.campaign import CampaignConfig, Classification, run_campaign, run_specs, tally_records
 from cdnfi.cli import main as cli_main
@@ -176,6 +177,7 @@ def test_criterion_07_overlap_formula():
 
 
 def test_criterion_08_byte_identical_bundles(tmp_path, monkeypatch):
+    monkeypatch.setattr(campaign, "POOL_MIN_PER_WORKER", 1)
     with criterion(8, "byte-identical bundles across reruns and worker counts"):
         def run(tag, workers):
             root = tmp_path / tag

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -241,13 +242,13 @@ def test_injection_stop_paths(monkeypatch, build, target, classification, cycles
     checkpoints = []
     golden = sim.run(st, checkpoints)
     ticks = []
-    tick = sim.tick
+    tick = sim.tick_diff
 
     def counted(*args):
         ticks.append(args)
         return tick(*args)
 
-    monkeypatch.setattr(sim, "tick", counted)
+    monkeypatch.setattr(sim, "tick_diff", counted)
     record, changed = run_injection(sim, st, golden, FaultSpec(FaultKind.SEU, target, 1),
                                     checkpoints=checkpoints)
     assert record.classification is classification
@@ -287,7 +288,8 @@ def test_run_specs_matches_full_replay(seed, kind):
                     if record.classification is Classification.FUNCTIONAL_FAILURE)
         per_ff[name] = FFTally(hits, fails, 0, 0) if kind is FaultKind.SET else FFTally(0, 0, hits, fails)
     for workers, supplied in ((1, None), (2, golden)):
-        result = run_specs(Simulator(n), st, specs, tree=tree, golden=supplied, workers=workers)
+        with mock.patch.object(campaign, "POOL_MIN_PER_WORKER", 1):
+            result = run_specs(Simulator(n), st, specs, tree=tree, golden=supplied, workers=workers)
         assert result.records == tuple(record for record, _ in replays)
         assert result.per_ff == per_ff
         assert result.golden == golden
@@ -314,6 +316,13 @@ def test_pool_never_starts_more_workers_than_injections(lfsr, lfsr_stimulus, mon
     monkeypatch.setattr(campaign, "_worker_ctx", {})
     specs = [FaultSpec(FaultKind.SEU, "lfsr.0", 5), FaultSpec(FaultKind.SEU, "lfsr.1", 9)]
     serial = run_specs(Simulator(lfsr), lfsr_stimulus, specs)
+    # too few injections per worker for a pool to pay for itself
+    assert run_specs(Simulator(lfsr), lfsr_stimulus, specs, workers=2) == serial
+    many = specs * campaign.POOL_MIN_PER_WORKER
+    run_specs(Simulator(lfsr), lfsr_stimulus, many, workers=64)
+    assert sizes == [2]
+    monkeypatch.setattr(campaign, "POOL_MIN_PER_WORKER", 1)
+    sizes.clear()
     assert run_specs(Simulator(lfsr), lfsr_stimulus, specs, workers=64) == serial
     assert sizes == [2]
     # a single injection runs in this process
@@ -376,7 +385,8 @@ def test_changed_totals_conserved_across_groupings(lfsr, lfsr_stimulus, lfsr_gol
     assert len({r.totals.reached for r in results}) == 1
 
 
-def test_worker_count_does_not_change_the_result(lfsr, lfsr_stimulus, lfsr_golden):
+def test_worker_count_does_not_change_the_result(lfsr, lfsr_stimulus, lfsr_golden, monkeypatch):
+    monkeypatch.setattr(campaign, "POOL_MIN_PER_WORKER", 1)
     cfg = CampaignConfig(FaultKind.SEU, 2, seed=77)
     serial = run_campaign(Simulator(lfsr), lfsr_stimulus, cfg, golden=lfsr_golden)
     parallel = run_campaign(Simulator(lfsr), lfsr_stimulus, cfg, golden=lfsr_golden, workers=2)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cdnfi
-from cdnfi import __version__
+from cdnfi import __version__, campaign
 from cdnfi.bundled import circuit_path, fit_library_path, golden_path, stimulus_path
 from cdnfi.cli import main
 from cdnfi.clocktree import RandomShuffle, generate_tree, load_tree, save_tree, tree_stats
@@ -243,6 +243,7 @@ def test_campaign_multi_tree_conservation(tmp_path, capsys):
 
 
 def test_campaign_reruns_and_workers_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.setattr(campaign, "POOL_MIN_PER_WORKER", 1)
     for sub, workers in (("a", "1"), ("b", "1"), ("c", "3")):
         root = tmp_path / sub
         root.mkdir()

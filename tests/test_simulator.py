@@ -228,6 +228,27 @@ def test_run_matches_reference_stepper_on_every_net(seed):
     assert Simulator(n).run(stimulus) == step_cycle_replay(Stepper(n), stimulus)[1]
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_checkpoints_hold_every_net_before_and_after_each_edge(seed):
+    # injections strike the first and compare against the second, so every
+    # net of both is checked against the reference stepper
+    rng = random.Random(seed)
+    n = random_netlist(rng)
+    stimulus = random_stimulus(rng, n)
+    sim = Simulator(n)
+    checkpoints = []
+    sim.run(stimulus, checkpoints)
+    assert len(checkpoints) == stimulus.n_cycles
+    ref = Stepper(n)
+    state = ref.reset()
+    for inputs, (settled, sampled) in zip(stimulus.input_vectors, checkpoints):
+        before = ref.settle(state, inputs)
+        state = ref.step_cycle(state, inputs)
+        assert settled == bytes(before.net_values[net] for net in sim.net_names)
+        assert sampled == bytes(state.net_values[net] for net in sim.net_names)
+
+
 # ---------------------------------------------------------------------------
 # stimulus documents
 
