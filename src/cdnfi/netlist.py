@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 # Supported gate kinds and their input counts. MUX2 takes (in0, in1, sel) and
@@ -105,6 +106,12 @@ class Netlist:
 
     def ff_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.flipflops)
+
+    @cached_property
+    def levels(self) -> dict[str, int]:
+        """Logic level of each gate id, from one pass of ``_gate_levels``
+        per netlist; gates on or behind a combinational cycle are absent."""
+        return _gate_levels(self)
 
 
 def is_bit(value: object) -> bool:
@@ -245,7 +252,25 @@ def validate(n: Netlist) -> list[Violation]:
             violations.append(DuplicateName(p, "output port"))
         seen_out.add(p)
 
-    # driver bookkeeping: input ports, gate outputs and FF Q pins drive nets
+    # input ports, gate outputs and FF Q pins drive nets; who drives or reads
+    # a net is described only when some net is driven twice or not at all
+    driven = [*n.inputs, *(g.output for g in n.gates), *(f.q for f in n.flipflops)]
+    read = {net for g in n.gates for net in g.inputs}
+    read.update(f.d for f in n.flipflops)
+    read.update(f.enable for f in n.flipflops if f.enable is not None)
+    read.update(n.outputs)
+    driven_set = set(driven)
+    if len(driven_set) != len(driven) or not read <= driven_set:
+        violations.extend(_net_source_violations(n))
+
+    violations.extend(_find_cycles(n))
+    return violations
+
+
+def _net_source_violations(n: Netlist) -> list[Violation]:
+    """``MultipleDrivers`` then ``UndrivenNet`` violations, each naming the
+    elements that drive or read its net, in document order."""
+    violations: list[Violation] = []
     drivers: dict[str, list[str]] = {}
     for p in n.inputs:
         drivers.setdefault(p, []).append(f"input port '{p}'")
@@ -273,8 +298,6 @@ def validate(n: Netlist) -> list[Violation]:
     for net in sorted(refs):
         if net not in drivers:
             violations.append(UndrivenNet(net, tuple(refs[net])))
-
-    violations.extend(_find_cycles(n))
     return violations
 
 
@@ -287,29 +310,40 @@ def _gate_dependencies(n: Netlist) -> dict[str, list[str]]:
     return deps
 
 
-def _topological_order(deps: dict[str, list[str]]) -> list[str]:
-    """Kahn's algorithm over ``deps``; ties resolve by document position.
+def _gate_levels(n: Netlist) -> dict[str, int]:
+    """Kahn's algorithm in waves: map gate id -> logic level.
 
-    A gate on a combinational cycle, or fed through one, never becomes ready
-    and is left out of the order.
+    A gate that no other gate feeds is at level 0, and any other gate one
+    level above the highest gate that feeds it. A gate on a combinational
+    cycle, or fed through one, never becomes ready and is left out.
     """
+    deps = _gate_dependencies(n)
     remaining = {gid: len(d) for gid, d in deps.items()}
     consumers: dict[str, list[str]] = {}
     for gid, d in deps.items():
         for dep in d:
             consumers.setdefault(dep, []).append(gid)
-    order = [gid for gid, count in remaining.items() if count == 0]
-    for gid in order:
-        for c in consumers.get(gid, ()):
-            remaining[c] -= 1
-            if remaining[c] == 0:
-                order.append(c)
-    return order
+    levels: dict[str, int] = {}
+    wave = [gid for gid, count in remaining.items() if count == 0]
+    level = 0
+    while wave:
+        ready = []
+        for gid in wave:
+            levels[gid] = level
+            for c in consumers.get(gid, ()):
+                remaining[c] -= 1
+                if remaining[c] == 0:
+                    ready.append(c)
+        wave = ready
+        level += 1
+    return levels
 
 
 def _find_cycles(n: Netlist) -> list[Violation]:
+    done = n.levels
+    if len(done) == len(n.gates):
+        return []
     deps = _gate_dependencies(n)
-    done = set(_topological_order(deps))
     stuck = [gid for gid in deps if gid not in done]
     if not stuck:
         return []
@@ -330,13 +364,13 @@ def levelize(n: Netlist) -> list[str]:
 
     Primary inputs and flip-flop Q pins are rank-0 sources, so a gate appears
     after every gate that drives one of its inputs. Order is deterministic:
-    ties resolve by document position.
+    gates go by logic level, and within a level by document position.
     """
-    order = _topological_order(_gate_dependencies(n))
-    if len(order) != len(n.gates):
-        stuck = sorted(set(g.id for g in n.gates) - set(order))
+    levels = n.levels
+    if len(levels) != len(n.gates):
+        stuck = sorted(set(g.id for g in n.gates) - set(levels))
         raise NetlistError(f"combinational cycle involving gates: {', '.join(stuck)}")
-    return order
+    return sorted((g.id for g in n.gates), key=levels.__getitem__)
 
 
 # ---------------------------------------------------------------------------

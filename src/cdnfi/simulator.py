@@ -13,6 +13,10 @@ a cycle and re-evaluates only the gates and flip-flops those differences
 reach, against that cycle's checkpoint (``campaign.run_injection``). The
 netlist is checked once, when it is parsed, and the stimulus by ``run``
 with ``validate_stimulus`` before the loop.
+
+The kernel compiles the netlist into a plan sorted by logic level, from the
+levels the netlist computed once for its cycle check, and then by opcode. A
+full settle dispatches once per run of one opcode, not once per gate.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ from __future__ import annotations
 import csv
 import heapq
 import io
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .netlist import Netlist, is_bit, levelize
@@ -103,20 +109,37 @@ _ARITY = (2, 2, 1, 2, 2, 2, 2, 1, 3, 0, 0)
 
 class Simulator:
     """Compiled simulation kernel for one netlist, which must validate cleanly
-    (``parse_netlist`` ensures it)."""
+    (``parse_netlist`` ensures it).
+
+    ``_plan`` holds one ``(opcode, in0, in1, in2, out)`` entry of value-list
+    slots per gate, sorted by logic level and then by opcode; ``_runs`` cuts
+    it into maximal runs of one opcode for ``_settle``. A run may span
+    levels, since any level-sorted order is topological. ``tick_diff`` walks
+    the same plan by index, so its heap pops gates in topological order.
+    """
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
         self.net_names = sorted(netlist.nets)  # net_names[i] is slot i of a value list
         self._net_ids = {net: i for i, net in enumerate(self.net_names)}
+        # by logic level, then opcode, then document position; levelize
+        # raises NetlistError on a combinational cycle
+        levels = netlist.levels
         gate_by_id = {g.id: g for g in netlist.gates}
+        gates = sorted(
+            (gate_by_id[gid] for gid in levelize(netlist)),
+            key=lambda g: (levels[g.id], _OPS[g.kind]),
+        )
         plan = []
-        for gid in levelize(netlist):
-            g = gate_by_id[gid]
+        for g in gates:
             ins = [self._net_ids[x] for x in g.inputs]
             ins += [0] * (3 - len(ins))
             plan.append((_OPS[g.kind], ins[0], ins[1], ins[2], self._net_ids[g.output]))
         self._plan = tuple(plan)
+        # (opcode, its gates) for each maximal run of one opcode
+        self._runs = tuple(
+            (op, tuple(run)) for op, run in itertools.groupby(self._plan, itemgetter(0))
+        )
         # flip-flop name -> its (Q, D, enable) slots, enable -1 when it has none
         self.pins = {
             f.name: (
@@ -135,29 +158,40 @@ class Simulator:
             v[idx] = inputs[port]
 
     def _settle(self, v: list[int]) -> None:
-        for op, i0, i1, i2, out in self._plan:
+        for op, gates in self._runs:
             if op == 0:
-                v[out] = v[i0] & v[i1]
+                for _, a, b, _, out in gates:
+                    v[out] = v[a] & v[b]
             elif op == 1:
-                v[out] = v[i0] | v[i1]
+                for _, a, b, _, out in gates:
+                    v[out] = v[a] | v[b]
             elif op == 2:
-                v[out] = v[i0] ^ 1
+                for _, a, _, _, out in gates:
+                    v[out] = v[a] ^ 1
             elif op == 3:
-                v[out] = v[i0] ^ v[i1]
+                for _, a, b, _, out in gates:
+                    v[out] = v[a] ^ v[b]
             elif op == 4:
-                v[out] = (v[i0] & v[i1]) ^ 1
+                for _, a, b, _, out in gates:
+                    v[out] = (v[a] & v[b]) ^ 1
             elif op == 5:
-                v[out] = (v[i0] | v[i1]) ^ 1
+                for _, a, b, _, out in gates:
+                    v[out] = (v[a] | v[b]) ^ 1
             elif op == 6:
-                v[out] = v[i0] ^ v[i1] ^ 1
+                for _, a, b, _, out in gates:
+                    v[out] = v[a] ^ v[b] ^ 1
             elif op == 7:
-                v[out] = v[i0]
+                for _, a, _, _, out in gates:
+                    v[out] = v[a]
             elif op == 8:
-                v[out] = v[i1] if v[i2] else v[i0]
+                for _, a, b, sel, out in gates:
+                    v[out] = v[b] if v[sel] else v[a]
             elif op == 9:
-                v[out] = 0
+                for *_, out in gates:
+                    v[out] = 0
             else:
-                v[out] = 1
+                for *_, out in gates:
+                    v[out] = 1
 
     def clock(self, v: list[int], pins: Collection[tuple[int, int, int]]) -> None:
         """Clock the flip-flops with these ``pins`` at once: each Q takes

@@ -2,9 +2,11 @@
 
 ``Stepper`` is a reference simulator: ``reset``, ``settle`` and
 ``step_cycle`` on a ``SimState`` of name-keyed dicts, with its own gate table
-and its own latch rule. Of ``cdnfi`` it uses only the netlist data model and
-``levelize``, so it shares no code with the compiled kernel in
-``cdnfi.simulator``, and a fault in the kernel cannot pass on both sides.
+and its own latch rule. It orders its gates itself, by a depth-first walk
+back through each gate's fan-in, not by logic level. Of ``cdnfi`` it uses
+only the netlist data model, so it shares no code with the compiled kernel
+in ``cdnfi.simulator`` or with the levelization in ``cdnfi.netlist``, and a
+fault there cannot pass on both sides.
 ``explicit_pulse_oracle`` is an independent formulation of a clock transient
 and ``replay_injection`` the full step-by-step replay an injection is defined
 by; both run on the stepper and share no code with ``cdnfi.faults``.
@@ -20,7 +22,7 @@ from typing import Callable, Mapping, Optional
 from cdnfi.campaign import Classification, InjectionRecord
 from cdnfi.clocktree import ClockTree
 from cdnfi.faults import FaultKind, FaultSpec, InjectionEffect
-from cdnfi.netlist import FlipFlop, Netlist, levelize
+from cdnfi.netlist import FlipFlop, Gate, Netlist
 from cdnfi.simulator import GoldenTrace, Simulator, Stimulus
 
 _GATES = {
@@ -58,13 +60,39 @@ def latch(ff: FlipFlop, state: SimState) -> int:
     return state.net_values[ff.d]
 
 
+def _fan_in_order(netlist: Netlist) -> list[Gate]:
+    """Every gate after the gates that feed it: a depth-first walk back from
+    each gate through the gates that drive its inputs."""
+    gate_of = {g.output: g for g in netlist.gates}
+    order: list[Gate] = []
+    placed: set[str] = set()
+    expanded: set[str] = set()
+    for gate in netlist.gates:
+        stack = [gate]
+        while stack:
+            top = stack[-1]
+            if top.output in placed:
+                stack.pop()
+                continue
+            feeding = [gate_of[x] for x in top.inputs if x in gate_of and x not in placed]
+            if not feeding:
+                order.append(top)
+                placed.add(top.output)
+                stack.pop()
+            elif top.output in expanded:
+                raise ValueError(f"combinational cycle through gate '{top.id}'")
+            else:
+                expanded.add(top.output)
+                stack.extend(feeding)
+    return order
+
+
 class Stepper:
     """Reference simulator that advances one cycle at a time."""
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        by_id = {g.id: g for g in netlist.gates}
-        self._gates = [by_id[gid] for gid in levelize(netlist)]
+        self._gates = _fan_in_order(netlist)
 
     def reset(self) -> SimState:
         """Cycle 0, every flip-flop at its declared init value."""

@@ -13,6 +13,7 @@ import pytest
 
 import cdnfi
 from cdnfi import __version__, campaign
+from cdnfi import netlist as netlist_module
 from cdnfi.bundled import circuit_path, fit_library_path, golden_path, stimulus_path
 from cdnfi.cli import main
 from cdnfi.clocktree import RandomShuffle, generate_tree, load_tree, save_tree, tree_stats
@@ -240,6 +241,30 @@ def test_campaign_multi_tree_conservation(tmp_path, capsys):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     digested = {i["path"] for i in manifest["inputs"]}
     assert str(golden_path("lfsr_counter")) in digested
+
+
+def test_campaign_levelizes_its_netlist_once(tmp_path, monkeypatch):
+    # the cycle check at parse time and the kernel compile share one pass
+    cdn_dir = tmp_path / "cdns"
+    assert main([
+        "gen-cdn", str(circuit_path("crc8_pipeline")), "--min-fanout", "4",
+        "--out-dir", str(cdn_dir),
+    ]) == 0
+    calls = []
+    real = netlist_module._gate_levels
+
+    def counted(n):
+        calls.append(n.name)
+        return real(n)
+
+    monkeypatch.setattr(netlist_module, "_gate_levels", counted)
+    rc = main([
+        "campaign", str(circuit_path("crc8_pipeline")), str(stimulus_path("crc8_pipeline")),
+        "--mode", "set", "--tree", str(cdn_dir / "cdn_by_name.json"),
+        "--injections-per-target", "2", "--seed", "5", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 0
+    assert calls == ["crc8_pipeline"]
 
 
 def test_campaign_reruns_and_workers_are_byte_identical(tmp_path, monkeypatch):

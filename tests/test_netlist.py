@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdnfi import netlist as netlist_module
 from cdnfi.netlist import (
     BadArity,
     CombinationalCycle,
@@ -133,6 +134,50 @@ def test_validate_multiple_drivers():
     )
     found = [v for v in validate(n) if isinstance(v, MultipleDrivers)]
     assert len(found) == 1 and found[0].net == "x"
+
+
+def test_validate_names_what_drives_and_reads_each_broken_net():
+    n = Netlist.build(
+        "bad", ["a", "x"], ["y", "u"],
+        [
+            Gate("g1", "BUF", ("a",), "x"),
+            Gate("g2", "AND", ("u", "x"), "y"),
+            Gate("g3", "NOT", ("u",), "x"),
+            Gate("g4", "OR", ("w", "u"), "y"),
+        ],
+        [FlipFlop("r", "u", "x", "w", 0), FlipFlop("s", "w", "q", None, 1)],
+    )
+    assert [str(v) for v in validate(n)] == [
+        "net 'x' has multiple drivers: input port 'x', gate 'g1', gate 'g3', flip-flop 'r' Q",
+        "net 'y' has multiple drivers: gate 'g2', gate 'g4'",
+        "undriven net 'u' (referenced by gate 'g2', gate 'g3', gate 'g4', "
+        "flip-flop 'r' D, output port 'u')",
+        "undriven net 'w' (referenced by gate 'g4', flip-flop 'r' enable, flip-flop 's' D)",
+    ]
+
+
+def test_levels_are_computed_once_per_netlist(monkeypatch):
+    calls = []
+    real = netlist_module._gate_levels
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(netlist_module, "_gate_levels", counted)
+    n = Netlist.build(
+        "chain", ["a"], ["w"],
+        [
+            Gate("g3", "NOT", ("v",), "w"),
+            Gate("g1", "BUF", ("a",), "u"),
+            Gate("g2", "AND", ("u", "a"), "v"),
+        ],
+        [],
+    )
+    assert validate(n) == []
+    assert levelize(n) == ["g1", "g2", "g3"]
+    assert n.levels == {"g1": 0, "g2": 1, "g3": 2}
+    assert calls == [n]
 
 
 def test_validate_combinational_cycle():

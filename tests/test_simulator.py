@@ -1,11 +1,15 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdnfi.netlist import FlipFlop, Gate, Netlist
+from cdnfi.netlist import FlipFlop, Gate, Netlist, NetlistError
 from cdnfi.simulator import (
+    _ARITY,
+    _OPS,
     GoldenTrace,
     MissingInputError,
     SimulationError,
@@ -220,9 +224,10 @@ def test_run_matches_step_cycle_replay_on_random_circuits(seed):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_run_matches_reference_stepper_on_every_net(seed):
     # the kernel against the stepper, which shares no code with it; every
-    # net is monitored, so a wrong gate cannot hide behind the outputs
+    # net is monitored, so a wrong gate cannot hide behind the outputs, and
+    # up to 300 gates of all eleven kinds make a settle cross many runs
     rng = random.Random(seed)
-    n = random_netlist(rng, max_gates=30)
+    n = random_netlist(rng, max_gates=300)
     n = Netlist.build(n.name, n.inputs, sorted(n.nets), n.gates, n.flipflops)
     stimulus = random_stimulus(rng, n)
     assert Simulator(n).run(stimulus) == step_cycle_replay(Stepper(n), stimulus)[1]
@@ -247,6 +252,63 @@ def test_checkpoints_hold_every_net_before_and_after_each_edge(seed):
         state = ref.step_cycle(state, inputs)
         assert settled == bytes(before.net_values[net] for net in sim.net_names)
         assert sampled == bytes(state.net_values[net] for net in sim.net_names)
+
+
+def synthetic_netlist(seed):
+    """The benchmark's paper-scale circuit: 1233 flip-flops, 4000 gates."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "synthcircuit.py"
+    spec = importlib.util.spec_from_file_location("synthcircuit", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.synth_netlist(seed)
+
+
+def assert_compiled_plan(n):
+    sim = Simulator(n)
+    plan = sim._plan
+    # the runs, one opcode each and maximal, are the plan cut in pieces
+    assert tuple(gate for _, gates in sim._runs for gate in gates) == plan
+    assert all(gate[0] == op for op, gates in sim._runs for gate in gates)
+    assert all(a[0] != b[0] for a, b in zip(sim._runs, sim._runs[1:]))
+    # every gate exactly once
+    expected = []
+    for g in n.gates:
+        ins = sim.slots(g.inputs) + [0] * (3 - len(g.inputs))
+        expected.append((_OPS[g.kind], *ins, sim.slots([g.output])[0]))
+    assert sorted(plan) == sorted(expected)
+    # by level, then by opcode
+    level_of = {sim.slots([g.output])[0]: n.levels[g.id] for g in n.gates}
+    keys = [(level_of[out], op) for op, *_, out in plan]
+    assert keys == sorted(keys)
+    # every input slot is a primary input, a Q, or the output of an earlier gate
+    ready = set(sim.slots(n.inputs)) | set(sim.slots(f.q for f in n.flipflops))
+    for op, i0, i1, i2, out in plan:
+        assert ready.issuperset((i0, i1, i2)[:_ARITY[op]])
+        ready.add(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_compiled_plan_is_level_sorted_runs_on_random_circuits(seed):
+    assert_compiled_plan(random_netlist(random.Random(seed), max_gates=300))
+
+
+def test_compiled_plan_is_level_sorted_runs_on_synthetic_circuit():
+    assert_compiled_plan(synthetic_netlist(5))
+
+
+def test_compile_rejects_combinational_cycle():
+    n = Netlist.build(
+        "loop", ["a"], ["x"],
+        [
+            Gate("g1", "AND", ("a", "y"), "x"),
+            Gate("g2", "BUF", ("x",), "y"),
+            Gate("g3", "NOT", ("a",), "z"),
+        ],
+        [],
+    )
+    with pytest.raises(NetlistError, match="combinational cycle involving gates: g1, g2$"):
+        Simulator(n)
 
 
 # ---------------------------------------------------------------------------
