@@ -7,9 +7,9 @@ every cycle; a supplied golden trace must equal that pass. Injections do not
 replay from reset. Each starts from the checkpoint of its scheduled cycle on
 the campaign's compiled kernel, applies one fault mid-cycle (after the
 combinational settle, before the edge), simulates only what then differs
-from the fault-free run, and compares each monitored row with the golden
-row: the first that differs makes it a functional failure and stops it. It
-stops as masked once the flip-flop state after an edge is back on the golden
+from the fault-free run. It is a functional failure, and stops, at the
+first edge after which a monitored output differs from that run. It stops
+as masked once the flip-flop state after an edge is back on the fault-free
 path, since the rest of the run then depends only on that state and the
 inputs, or at the end of the stimulus.
 The injections and the fault functions they call are plain kernel calls.
@@ -158,30 +158,24 @@ def sample_times(cfg: CampaignConfig, window: tuple[int, int], target: Optional[
 def run_injection(
     sim: Simulator,
     stimulus: Stimulus,
-    golden: GoldenTrace,
+    checkpoints: Sequence[Checkpoint],
     spec: FaultSpec,
     tree: Optional[ClockTree] = None,
-    checkpoints: Optional[Sequence[Checkpoint]] = None,
 ) -> tuple[InjectionRecord, tuple[str, ...]]:
     """Run the stimulus from the checkpoint of spec.cycle with one fault applied.
 
+    ``checkpoints`` are those ``Simulator.run`` records for the stimulus.
     The fault strikes the settled values of its cycle's checkpoint; from
     then on the run is kept as the flip-flops and nets that differ from the
-    fault-free run (``Simulator.tick_diff``). After each edge the monitored
-    row is compared with the golden one: the first that differs makes the
-    injection a functional failure. A flip-flop state with no difference
-    left makes it masked, and so does the end of the stimulus; either way it
-    stops there. ``checkpoints`` are those ``Simulator.run`` records for the
-    stimulus, and are computed here when none are passed. The result equals
-    a full replay from reset when ``golden`` is the trace of that run, which
-    ``run_specs`` checks.
+    fault-free run (``Simulator.tick_diff``). The first edge after which a
+    monitored output is among them makes the injection a functional
+    failure. A flip-flop state with no difference left makes it masked, and
+    so does the end of the stimulus; either way it stops there. The result
+    equals a full replay from reset compared with the fault-free trace.
 
     Returns the injection's record and the flip-flops the fault changed. It
     trusts its inputs, which ``run_specs`` checks once per campaign.
     """
-    if checkpoints is None:
-        checkpoints = []
-        sim.run(stimulus, checkpoints)
     cycle = spec.cycle
     v = list(checkpoints[cycle].settled)
     if spec.kind is FaultKind.SET:
@@ -189,10 +183,9 @@ def run_injection(
     else:
         effect = apply_seu(sim, v, spec.target)
     state = {q: v[q] for q, _, _ in (sim.pins[name] for name in effect.changed)}
-    mon_ids = sim.slots(stimulus.monitors)
+    monitors = set(sim.slots(stimulus.monitors))
     while True:
-        state, row = sim.tick_diff(state, checkpoints[cycle], mon_ids)
-        failed = row != golden.rows[cycle]
+        state, failed = sim.tick_diff(state, checkpoints[cycle], monitors)
         cycle += 1
         if failed or not state or cycle == stimulus.n_cycles:
             break
@@ -217,13 +210,13 @@ POOL_MIN_PER_WORKER = 512
 _worker_ctx: dict = {}
 
 
-def _init_worker(sim, stimulus, golden, tree, checkpoints):
-    _worker_ctx["args"] = (sim, stimulus, golden, tree, checkpoints)
+def _init_worker(sim, stimulus, checkpoints, tree):
+    _worker_ctx["args"] = (sim, stimulus, checkpoints, tree)
 
 
 def _run_one(spec: FaultSpec) -> tuple[InjectionRecord, tuple[str, ...]]:
-    sim, stimulus, golden, tree, checkpoints = _worker_ctx["args"]
-    return run_injection(sim, stimulus, golden, spec, tree, checkpoints)
+    sim, stimulus, checkpoints, tree = _worker_ctx["args"]
+    return run_injection(sim, stimulus, checkpoints, spec, tree)
 
 
 def resolve_targets(
@@ -333,12 +326,12 @@ def run_specs(
         with ProcessPoolExecutor(
             max_workers=n_workers,
             initializer=_init_worker,
-            initargs=(sim, stimulus, simulated, tree, checkpoints),
+            initargs=(sim, stimulus, checkpoints, tree),
         ) as pool:
             chunk = max(1, len(specs) // (n_workers * 8))
             runs = list(pool.map(_run_one, specs, chunksize=chunk))
     else:
-        runs = [run_injection(sim, stimulus, simulated, s, tree, checkpoints) for s in specs]
+        runs = [run_injection(sim, stimulus, checkpoints, s, tree) for s in specs]
 
     # aggregation depends only on the spec list order, never completion order
     records = tuple(record for record, _ in runs)

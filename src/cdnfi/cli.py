@@ -65,6 +65,14 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
+def _load(load, path: Path):
+    """``load(path)``, with a file that is not UTF-8 text a usage error."""
+    try:
+        return load(path)
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path} is not UTF-8 text ({e.reason} at byte {e.start})") from e
+
+
 def _write_manifest(
     path: Path,
     command: str,
@@ -98,8 +106,11 @@ def _positive_int(value: str) -> int:
 def _fraction_arg(value: str) -> str:
     from .report import as_fraction
 
-    f = as_fraction(value)
-    if not (0 < f <= 1):
+    try:
+        inside = 0 < as_fraction(value) <= 1
+    except ZeroDivisionError:
+        inside = False
+    if not inside:
         raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
     return value
 
@@ -156,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_sim(args) -> int:
     netlist_path = _require_file(args.netlist, "netlist")
     stimulus_path = _require_file(args.stimulus, "stimulus")
-    netlist = load_netlist(netlist_path)
-    stimulus = load_stimulus(stimulus_path)
+    netlist = _load(load_netlist, netlist_path)
+    stimulus = _load(load_stimulus, stimulus_path)
     trace = Simulator(netlist).run(stimulus)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -174,7 +185,7 @@ def _cmd_sim(args) -> int:
 
 def _cmd_gen_cdn(args) -> int:
     netlist_path = _require_file(args.netlist, "netlist")
-    netlist = load_netlist(netlist_path)
+    netlist = _load(load_netlist, netlist_path)
     ffs = netlist.ff_names()
     if not ffs:
         raise UsageError(f"netlist '{netlist.name}' has no flip-flops")
@@ -221,23 +232,23 @@ def _cmd_campaign(args) -> int:
     tree_paths = [_require_file(t, "clock tree") for t in args.tree]
     input_files = [netlist_path, stimulus_path] + list(tree_paths)
 
-    netlist = load_netlist(netlist_path)
+    netlist = _load(load_netlist, netlist_path)
     sim = Simulator(netlist)
-    stimulus = load_stimulus(stimulus_path)
+    stimulus = _load(load_stimulus, stimulus_path)
     # every input is loaded and checked, and every campaign run, before
     # anything is written
-    trees = [load_tree(p) for p in tree_paths]
+    trees = [_load(load_tree, p) for p in tree_paths]
     for tree in trees:
         check_targets(netlist, FaultKind.SET, tree.buffer_ids(), tree)
     fit_library = None
     if args.fit_library:
         fit_path = _require_file(args.fit_library, "FIT library")
-        fit_library = load_fit_library(fit_path)
+        fit_library = _load(load_fit_library, fit_path)
         input_files.append(fit_path)
     golden = None
     if args.golden:
         golden_path = _require_file(args.golden, "golden trace")
-        golden = load_trace(golden_path)
+        golden = _load(load_trace, golden_path)
         input_files.append(golden_path)
 
     cfg = CampaignConfig(
@@ -297,12 +308,14 @@ def _cmd_campaign(args) -> int:
 
 def _cmd_report(args) -> int:
     result_paths = [_require_file(r, "campaign result") for r in args.results]
-    results = [result_from_json(p.read_text(encoding="utf-8")) for p in result_paths]
+    results = [
+        result_from_json(_load(lambda p: p.read_text(encoding="utf-8"), p)) for p in result_paths
+    ]
     fit_library: Optional[FitLibrary] = None
     input_files = list(result_paths)
     if args.fit_library:
         fit_path = _require_file(args.fit_library, "FIT library")
-        fit_library = load_fit_library(fit_path)
+        fit_library = _load(load_fit_library, fit_path)
         input_files.append(fit_path)
     out_dir = Path(args.out_dir)
     outputs = emit(

@@ -359,20 +359,6 @@ def _find_cycles(n: Netlist) -> list[Violation]:
         path.append(nxt)
 
 
-def levelize(n: Netlist) -> list[str]:
-    """Topological order of gate ids.
-
-    Primary inputs and flip-flop Q pins are rank-0 sources, so a gate appears
-    after every gate that drives one of its inputs. Order is deterministic:
-    gates go by logic level, and within a level by document position.
-    """
-    levels = n.levels
-    if len(levels) != len(n.gates):
-        stuck = sorted(set(g.id for g in n.gates) - set(levels))
-        raise NetlistError(f"combinational cycle involving gates: {', '.join(stuck)}")
-    return sorted((g.id for g in n.gates), key=levels.__getitem__)
-
-
 # ---------------------------------------------------------------------------
 # document format
 

@@ -9,8 +9,9 @@ the golden trace and, on request, a ``Checkpoint`` of every cycle, the
 settled values before its edge and after it. Injections do not replay from
 reset. A faulty run is kept as its difference from the fault-free one:
 ``Simulator.tick_diff`` takes the Q slots that differ at the fault point of
-a cycle and re-evaluates only the gates and flip-flops those differences
-reach, against that cycle's checkpoint (``campaign.run_injection``). The
+a cycle, re-evaluates only the gates and flip-flops those differences reach,
+against that cycle's checkpoint, and tells whether a monitored output is
+among them after the edge (``campaign.run_injection``). The
 netlist is checked once, when it is parsed, and the stimulus by ``run``
 with ``validate_stimulus`` before the loop.
 
@@ -29,9 +30,9 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import AbstractSet, Collection, Iterable, Mapping, NamedTuple, Optional
 
-from .netlist import Netlist, is_bit, levelize
+from .netlist import Netlist, NetlistError, is_bit
 
 
 class SimulationError(Exception):
@@ -122,14 +123,13 @@ class Simulator:
         self.netlist = netlist
         self.net_names = sorted(netlist.nets)  # net_names[i] is slot i of a value list
         self._net_ids = {net: i for i, net in enumerate(self.net_names)}
-        # by logic level, then opcode, then document position; levelize
-        # raises NetlistError on a combinational cycle
+        # by logic level, then opcode, then document position (a stable
+        # sort); a gate on or behind a combinational cycle has no level
         levels = netlist.levels
-        gate_by_id = {g.id: g for g in netlist.gates}
-        gates = sorted(
-            (gate_by_id[gid] for gid in levelize(netlist)),
-            key=lambda g: (levels[g.id], _OPS[g.kind]),
-        )
+        if len(levels) != len(netlist.gates):
+            stuck = sorted(set(g.id for g in netlist.gates) - set(levels))
+            raise NetlistError(f"combinational cycle involving gates: {', '.join(stuck)}")
+        gates = sorted(netlist.gates, key=lambda g: (levels[g.id], _OPS[g.kind]))
         plan = []
         for g in gates:
             ins = [self._net_ids[x] for x in g.inputs]
@@ -205,8 +205,8 @@ class Simulator:
         return [self._net_ids[net] for net in nets]
 
     def tick_diff(
-        self, state: Mapping[int, int], checkpoint: Checkpoint, monitors: Sequence[int]
-    ) -> tuple[dict[int, int], tuple[int, ...]]:
+        self, state: Mapping[int, int], checkpoint: Checkpoint, monitors: AbstractSet[int]
+    ) -> tuple[dict[int, int], bool]:
         """One cycle of a faulty run, kept as its difference from the
         fault-free cycle that ``checkpoint`` records.
 
@@ -214,8 +214,8 @@ class Simulator:
         inputs settle, to their faulty values. The differences are settled,
         the edge fires and the differences settle again; only the gates and
         flip-flops a difference reaches are evaluated. Returns the Q slots
-        that differ after the edge, the next cycle's ``state``, and the
-        values of the ``monitors`` slots then.
+        that differ after the edge, the next cycle's ``state``, and whether
+        any of the ``monitors`` slots then differs from the fault-free run.
         """
         settled, sampled = checkpoint
         diff = dict(state)
@@ -232,7 +232,7 @@ class Simulator:
                 after[q] = bit
         diff = dict(after)
         self._spread(sampled, diff)
-        return after, tuple(diff.get(m, sampled[m]) for m in monitors)
+        return after, not diff.keys().isdisjoint(monitors)
 
     def _spread(self, base: bytes, diff: dict[int, int]) -> None:
         """Settle the differences ``diff`` from the settled values ``base``:

@@ -5,13 +5,15 @@
 and its own latch rule. It orders its gates itself, by a depth-first walk
 back through each gate's fan-in, not by logic level. Of ``cdnfi`` it uses
 only the netlist data model, so it shares no code with the compiled kernel
-in ``cdnfi.simulator`` or with the levelization in ``cdnfi.netlist``, and a
-fault there cannot pass on both sides.
+in ``cdnfi.simulator`` or with the logic levels ``cdnfi.netlist`` computes,
+and a fault there cannot pass on both sides.
 ``explicit_pulse_oracle`` is an independent formulation of a clock transient
 and ``replay_injection`` the full step-by-step replay an injection is defined
 by; both run on the stepper and share no code with ``cdnfi.faults``.
 ``fault_on_state`` runs a production fault function on a settled
-``SimState``, so its result can be compared with theirs.
+``SimState``, so its result can be compared with theirs, and
+``fault_free_checkpoints`` gives the checkpoints a production injection
+starts from.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from cdnfi.campaign import Classification, InjectionRecord
 from cdnfi.clocktree import ClockTree
 from cdnfi.faults import FaultKind, FaultSpec, InjectionEffect
 from cdnfi.netlist import FlipFlop, Gate, Netlist
-from cdnfi.simulator import GoldenTrace, Simulator, Stimulus
+from cdnfi.simulator import Checkpoint, GoldenTrace, Simulator, Stimulus
 
 _GATES = {
     "AND": lambda a, b: a & b,
@@ -135,6 +137,14 @@ def fault_on_state(
     ff_values = {name: v[q] for name, (q, _, _) in sim.pins.items()}
     settled = ref.settle(SimState(state.cycle, ff_values, {}), _inputs(ref.netlist, state))
     return settled, effect
+
+
+def fault_free_checkpoints(sim: Simulator, stimulus: Stimulus) -> list[Checkpoint]:
+    """The checkpoint of every cycle of the fault-free pass, which
+    ``campaign.run_injection`` takes."""
+    checkpoints: list[Checkpoint] = []
+    sim.run(stimulus, checkpoints)
+    return checkpoints
 
 
 def explicit_pulse_oracle(

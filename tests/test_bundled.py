@@ -16,6 +16,8 @@ from cdnfi.report import load_fit_library
 from cdnfi.simulator import Simulator
 from fractions import Fraction
 
+from oracles import fault_free_checkpoints
+
 
 def crc8_table():
     """Table-driven CRC-8 (polynomial x^8 + x^2 + x + 1, init 0, MSB first)."""
@@ -113,20 +115,23 @@ def test_match_monitor_holds_in_fault_free_run(crc8_stimulus, crc8_golden):
     assert len(crc8_golden.rows) == crc8_stimulus.n_cycles == 72
 
 
-def test_deadend_probe_upsets_are_masked(lfsr, lfsr_stimulus, lfsr_golden):
+def test_deadend_probe_upsets_are_masked(lfsr, lfsr_stimulus):
     first, last = lfsr_stimulus.active_window
+    sim = Simulator(lfsr)
+    checkpoints = fault_free_checkpoints(sim, lfsr_stimulus)
     for cycle in (first, (first + last) // 2, last):
         record, _ = run_injection(
-            Simulator(lfsr), lfsr_stimulus, lfsr_golden,
-            FaultSpec(FaultKind.SEU, "probe.tap", cycle),
+            sim, lfsr_stimulus, checkpoints, FaultSpec(FaultKind.SEU, "probe.tap", cycle),
         )
         assert record.classification is Classification.MASKED
 
 
-def test_lfsr_upsets_do_fail_somewhere(lfsr, lfsr_stimulus, lfsr_golden):
+def test_lfsr_upsets_do_fail_somewhere(lfsr, lfsr_stimulus):
     first, _ = lfsr_stimulus.active_window
+    sim = Simulator(lfsr)
     record, _ = run_injection(
-        Simulator(lfsr), lfsr_stimulus, lfsr_golden, FaultSpec(FaultKind.SEU, "lfsr.7", first)
+        sim, lfsr_stimulus, fault_free_checkpoints(sim, lfsr_stimulus),
+        FaultSpec(FaultKind.SEU, "lfsr.7", first),
     )
     assert record.classification is Classification.FUNCTIONAL_FAILURE
 

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -30,7 +31,7 @@ from cdnfi.faults import FaultKind, FaultSpec
 from cdnfi.netlist import FlipFlop, Gate, Netlist
 from cdnfi.simulator import GoldenTrace, Simulator, Stimulus, StimulusError
 from gencircuit import random_netlist, random_stimulus
-from oracles import Stepper, replay_injection
+from oracles import Stepper, fault_free_checkpoints, replay_injection
 from test_netlist import toggle
 
 
@@ -43,9 +44,11 @@ def autonomous_stimulus(netlist, n_cycles, window=None):
     )
 
 
-def golden_for(netlist, stimulus):
-    trace = Simulator(netlist).run(stimulus)
-    return trace
+def random_monitors(rng, netlist, stimulus):
+    """The stimulus monitoring a random draw of outputs: maybe none, maybe
+    one output more than once."""
+    monitors = tuple(rng.choice(netlist.outputs) for _ in range(rng.randint(0, 4)))
+    return replace(stimulus, monitors=monitors)
 
 
 def deadend():
@@ -125,23 +128,13 @@ def test_zero_injections_rejected():
 # single injections
 
 
-def test_difference_before_injection_cycle_is_ignored():
-    # a supplied golden trace is compared from the injection cycle on only
-    n = deadend()
-    st = Stimulus(4, tuple({"x": c % 2} for c in range(4)), (0, 3), ("y",))
-    golden = golden_for(n, st)
-    wrong_early = GoldenTrace(golden.monitors, ((1 - golden.rows[0][0],),) + golden.rows[1:])
-    for cycle, classification in ((1, Classification.MASKED), (0, Classification.FUNCTIONAL_FAILURE)):
-        record, _ = run_injection(Simulator(n), st, wrong_early, FaultSpec(FaultKind.SEU, "dead", cycle))
-        assert record.classification is classification, cycle
-
-
 def test_toggle_upset_fails_from_injection_cycle():
     n = toggle()
     st = autonomous_stimulus(n, 4)
-    golden = golden_for(n, st)
-    assert golden.rows == ((1,), (0,), (1,), (0,))
-    record, changed = run_injection(Simulator(n), st, golden, FaultSpec(FaultKind.SEU, "t", 2))
+    sim = Simulator(n)
+    assert sim.run(st).rows == ((1,), (0,), (1,), (0,))
+    spec = FaultSpec(FaultKind.SEU, "t", 2)
+    record, changed = run_injection(sim, st, fault_free_checkpoints(sim, st), spec)
     assert record.classification is Classification.FUNCTIONAL_FAILURE
     assert (record.kind, record.target, record.cycle) == (FaultKind.SEU, "t", 2)
     assert (record.n_reached, record.n_changed) == (1, 1)
@@ -151,8 +144,9 @@ def test_toggle_upset_fails_from_injection_cycle():
 def test_deadend_upset_is_masked():
     n = deadend()
     st = Stimulus(4, tuple({"x": c % 2} for c in range(4)), (0, 3), ("y",))
-    golden = golden_for(n, st)
-    record, changed = run_injection(Simulator(n), st, golden, FaultSpec(FaultKind.SEU, "dead", 1))
+    sim = Simulator(n)
+    spec = FaultSpec(FaultKind.SEU, "dead", 1)
+    record, changed = run_injection(sim, st, fault_free_checkpoints(sim, st), spec)
     assert record.classification is Classification.MASKED
     assert changed == ("dead",)
 
@@ -161,8 +155,9 @@ def test_recirculating_transient_is_structurally_masked():
     n = recirculating()
     tree = generate_tree(n.ff_names(), 2)
     st = autonomous_stimulus(n, 3)
-    golden = golden_for(n, st)
-    record, changed = run_injection(Simulator(n), st, golden, FaultSpec(FaultKind.SET, "b", 1), tree)
+    sim = Simulator(n)
+    spec = FaultSpec(FaultKind.SET, "b", 1)
+    record, changed = run_injection(sim, st, fault_free_checkpoints(sim, st), spec, tree)
     assert changed == ()
     assert (record.n_reached, record.n_changed) == (4, 0)
     assert record.classification is Classification.MASKED
@@ -173,7 +168,8 @@ def test_toggle_transient_fails():
     tree = generate_tree(n.ff_names(), 1)
     st = autonomous_stimulus(n, 4)
     spec = FaultSpec(FaultKind.SET, "b", 1)
-    record, _ = run_injection(Simulator(n), st, golden_for(n, st), spec, tree)
+    sim = Simulator(n)
+    record, _ = run_injection(sim, st, fault_free_checkpoints(sim, st), spec, tree)
     assert record.classification is Classification.FUNCTIONAL_FAILURE
 
 
@@ -182,7 +178,7 @@ def test_injection_validations(monkeypatch):
     # injection runs or any worker starts
     n = toggle()
     st = autonomous_stimulus(n, 4)
-    golden = golden_for(n, st)
+    golden = Simulator(n).run(st)
     short = GoldenTrace(st.monitors, golden.rows[:2])
     # the right shape, one bit off the simulated run
     stale = GoldenTrace(st.monitors, golden.rows[:2] + (((1 - golden.rows[2][0]),),) + golden.rows[3:])
@@ -216,14 +212,15 @@ def test_run_injection_matches_full_replay(seed, kind):
     # stepper's reset/settle/fault/step_cycle replay, on random circuits and specs
     rng = random.Random(seed)
     n = random_netlist(rng)
-    st = random_stimulus(rng, n)
+    st = random_monitors(rng, n, random_stimulus(rng, n))
     sim = Simulator(n)
-    golden = sim.run(st)
+    checkpoints = []
+    golden = sim.run(st, checkpoints)
     tree = generate_tree(n.ff_names(), rng.randint(1, 3), RandomShuffle(seed))
     targets = tree.buffer_ids() if kind is FaultKind.SET else n.ff_names()
     for _ in range(4):
         spec = FaultSpec(kind, rng.choice(targets), rng.randrange(st.n_cycles))
-        fast = run_injection(sim, st, golden, spec, tree)
+        fast = run_injection(sim, st, checkpoints, spec, tree)
         assert fast == replay_injection(Stepper(n), st, golden, spec, tree)
 
 
@@ -239,8 +236,7 @@ def test_injection_stop_paths(monkeypatch, build, target, classification, cycles
     n = build()
     st = Stimulus(5, tuple({p: c % 2 for p in n.inputs} for c in range(5)), (0, 4), tuple(n.outputs))
     sim = Simulator(n)
-    checkpoints = []
-    golden = sim.run(st, checkpoints)
+    checkpoints = fault_free_checkpoints(sim, st)
     ticks = []
     tick = sim.tick_diff
 
@@ -249,8 +245,7 @@ def test_injection_stop_paths(monkeypatch, build, target, classification, cycles
         return tick(*args)
 
     monkeypatch.setattr(sim, "tick_diff", counted)
-    record, changed = run_injection(sim, st, golden, FaultSpec(FaultKind.SEU, target, 1),
-                                    checkpoints=checkpoints)
+    record, changed = run_injection(sim, st, checkpoints, FaultSpec(FaultKind.SEU, target, 1))
     assert record.classification is classification
     assert changed == (target,)
     assert len(ticks) == cycles
@@ -273,7 +268,7 @@ def test_run_specs_matches_full_replay(seed, kind):
     # stepper's full replay from reset, with the first and last cycles injected
     rng = random.Random(seed)
     n = random_netlist(rng)
-    st = random_stimulus(rng, n)
+    st = random_monitors(rng, n, random_stimulus(rng, n))
     tree = generate_tree(n.ff_names(), rng.randint(1, 3), RandomShuffle(seed))
     targets = tree.buffer_ids() if kind is FaultKind.SET else n.ff_names()
     cycles = [0, st.n_cycles - 1] + [rng.randrange(st.n_cycles) for _ in range(6)]

@@ -418,6 +418,19 @@ def test_report_rejects_bad_top_fraction(tmp_path):
     ]) == 2
 
 
+def test_top_fraction_with_zero_denominator_is_a_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main([
+        "report", "whatever.json", "--top-fraction", "1/0", "--out-dir", str(out_dir),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "cdnfi report: error: argument --top-fraction: must be in (0, 1], got 1/0"
+    ]
+    assert not out_dir.exists()
+
+
 def test_campaign_rejects_non_numeric_fit_value(tmp_path, capsys):
     library = tmp_path / "fit.csv"
     library.write_text("cell_class,fit\nclock_buffer,59.17\nflipflop,abc\n")
@@ -743,6 +756,42 @@ def test_campaign_rejects_malformed_document(tmp_path, capsys, input_kind, text,
     assert len(err) == 1
     assert err[0].startswith("error:") and message in err[0]
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command, replaced", [
+    ("sim", "netlist"), ("sim", "stimulus"), ("gen-cdn", "netlist"),
+    ("campaign", "netlist"), ("campaign", "stimulus"), ("campaign", "golden"),
+    ("campaign", "tree"), ("campaign", "fit-library"),
+    ("report", "result"), ("report", "fit-library"),
+], ids=lambda x: x)
+def test_input_that_is_not_utf8_is_rejected(tmp_path, capsys, command, replaced):
+    netlist, stimulus = write_toggle(tmp_path)
+    assert main(["campaign", str(netlist), str(stimulus), "--mode", "seu",
+                 "--out-dir", str(tmp_path / "first")]) == 0
+    bad = tmp_path / "bad_input"
+    bad.write_bytes(b"\xff{")
+    inputs = {
+        "netlist": netlist, "stimulus": stimulus, "golden": None, "tree": None,
+        "fit-library": fit_library_path(), "result": tmp_path / "first" / "result_seu.json",
+        replaced: bad,
+    }
+    out = tmp_path / "out"
+    argv = {
+        "sim": ["sim", inputs["netlist"], inputs["stimulus"], "--out", out / "golden.csv"],
+        "gen-cdn": ["gen-cdn", inputs["netlist"], "--min-fanout", "1", "--out-dir", out],
+        "campaign": ["campaign", inputs["netlist"], inputs["stimulus"], "--out-dir", out,
+                     *(["--mode", "set", "--tree", bad] if replaced == "tree" else ["--mode", "seu"]),
+                     *(["--golden", bad] if replaced == "golden" else []),
+                     "--fit-library", inputs["fit-library"]],
+        "report": ["report", inputs["result"], "--fit-library", inputs["fit-library"],
+                   "--out-dir", out],
+    }[command]
+    capsys.readouterr()
+    before = tree_of_files(tmp_path)
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {bad} is not UTF-8 text (invalid start byte at byte 0)"]
+    assert tree_of_files(tmp_path) == before
 
 
 REPO = Path(__file__).resolve().parent.parent

@@ -14,16 +14,15 @@ from cdnfi.netlist import (
     Gate,
     MultipleDrivers,
     Netlist,
-    NetlistError,
     NetlistParseError,
     NetlistValidationError,
     UndrivenNet,
     UnknownGateKind,
-    levelize,
     parse_netlist,
     serialize_netlist,
     validate,
 )
+from cdnfi.simulator import Simulator
 from gencircuit import random_netlist
 
 TOGGLE_DOC = """
@@ -175,7 +174,7 @@ def test_levels_are_computed_once_per_netlist(monkeypatch):
         [],
     )
     assert validate(n) == []
-    assert levelize(n) == ["g1", "g2", "g3"]
+    Simulator(n)
     assert n.levels == {"g1": 0, "g2": 1, "g3": 2}
     assert calls == [n]
 
@@ -202,47 +201,6 @@ def test_validate_bad_arity():
 def test_cycle_through_ff_is_fine():
     assert validate(toggle()) == []
     assert validate(counter2()) == []
-
-
-def test_levelize_respects_dependencies():
-    n = Netlist.build(
-        "chain", ["a"], ["w"],
-        [
-            Gate("g3", "NOT", ("v",), "w"),
-            Gate("g1", "BUF", ("a",), "u"),
-            Gate("g2", "AND", ("u", "a"), "v"),
-        ],
-        [],
-    )
-    order = levelize(n)
-    assert order.index("g1") < order.index("g2") < order.index("g3")
-
-
-def test_levelize_raises_on_cycle():
-    n = Netlist.build(
-        "loop", ["a"], [],
-        [
-            Gate("g1", "AND", ("a", "y"), "x"),
-            Gate("g2", "BUF", ("x",), "y"),
-        ],
-        [],
-    )
-    with pytest.raises(NetlistError, match="cycle"):
-        levelize(n)
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10_000))
-def test_levelize_is_topological_permutation(seed):
-    n = random_netlist(random.Random(seed))
-    order = levelize(n)
-    assert sorted(order) == sorted(g.id for g in n.gates)
-    producer = {g.output: g.id for g in n.gates}
-    position = {gid: i for i, gid in enumerate(order)}
-    for g in n.gates:
-        for net in g.inputs:
-            if net in producer:
-                assert position[producer[net]] < position[g.id]
 
 
 @settings(max_examples=60, deadline=None)
