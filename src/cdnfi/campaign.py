@@ -5,14 +5,14 @@ that every target can be injected), then makes the campaign's one fault-free
 pass, which gives the golden trace and a checkpoint of the net values of
 every cycle; a supplied golden trace must equal that pass. Injections do not
 replay from reset. Each starts from the checkpoint of its scheduled cycle on
-the campaign's compiled kernel, applies one fault mid-cycle (after the
-combinational settle, before the edge), simulates only what then differs
-from the fault-free run. It is a functional failure, and stops, at the
-first edge after which a monitored output differs from that run. It stops
-as masked once the flip-flop state after an edge is back on the fault-free
-path, since the rest of the run then depends only on that state and the
-inputs, or at the end of the stimulus.
-The injections and the fault functions they call are plain kernel calls.
+the campaign's compiled kernel. Its fault strikes mid-cycle (after the
+combinational settle, before the edge) and names the flip-flops it flips
+there, which are the run's first difference from the fault-free one; from
+then on only what differs is simulated. It is a functional failure, and
+stops, at the first edge after which a monitored output differs from that
+run. It stops as masked once the flip-flop state after an edge is back on
+the fault-free path, since the rest of the run then depends only on that
+state and the inputs, or at the end of the stimulus.
 Injection times are drawn uniformly (with replacement) from the stimulus
 active window by a seeded generator, so a campaign is a pure function of its
 inputs and seed. A result holds one ``InjectionRecord`` per injection in list
@@ -30,7 +30,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import Collection, Iterable, Optional, Sequence
+from typing import AbstractSet, Collection, Iterable, Optional, Sequence
 
 from .clocktree import ClockTree
 from .faults import FaultKind, FaultSpec, apply_set, apply_seu
@@ -157,37 +157,35 @@ def sample_times(cfg: CampaignConfig, window: tuple[int, int], target: Optional[
 
 def run_injection(
     sim: Simulator,
-    stimulus: Stimulus,
     checkpoints: Sequence[Checkpoint],
+    monitors: AbstractSet[int],
     spec: FaultSpec,
     tree: Optional[ClockTree] = None,
 ) -> tuple[InjectionRecord, tuple[str, ...]]:
-    """Run the stimulus from the checkpoint of spec.cycle with one fault applied.
+    """Run from the checkpoint of spec.cycle with one fault applied.
 
-    ``checkpoints`` are those ``Simulator.run`` records for the stimulus.
-    The fault strikes the settled values of its cycle's checkpoint; from
-    then on the run is kept as the flip-flops and nets that differ from the
-    fault-free run (``Simulator.tick_diff``). The first edge after which a
-    monitored output is among them makes the injection a functional
-    failure. A flip-flop state with no difference left makes it masked, and
-    so does the end of the stimulus; either way it stops there. The result
-    equals a full replay from reset compared with the fault-free trace.
+    ``checkpoints`` are those ``Simulator.run`` records for a stimulus and
+    ``monitors`` the slots of its monitors. The fault names the flip-flops
+    it flips in its cycle's checkpoint; from then on the run is kept as the
+    flip-flops and nets that differ from the fault-free run
+    (``Simulator.tick_diff``). The first edge after which a monitored output
+    is among them makes the injection a functional failure. A flip-flop
+    state with no difference left makes it masked, and so does the last
+    checkpoint; either way it stops there. The result equals a full replay
+    from reset compared with the fault-free trace.
 
     Returns the injection's record and the flip-flops the fault changed. It
     trusts its inputs, which ``run_specs`` checks once per campaign.
     """
-    cycle = spec.cycle
-    v = list(checkpoints[cycle].settled)
+    settled = checkpoints[spec.cycle].settled
     if spec.kind is FaultKind.SET:
-        effect = apply_set(sim, tree, v, spec.target)
+        effect = apply_set(sim, tree, settled, spec.target)
     else:
-        effect = apply_seu(sim, v, spec.target)
-    state = {q: v[q] for q, _, _ in (sim.pins[name] for name in effect.changed)}
-    monitors = set(sim.slots(stimulus.monitors))
-    while True:
+        effect = apply_seu(spec.target)
+    state = {q: settled[q] ^ 1 for q, _, _ in (sim.pins[name] for name in effect.changed)}
+    for cycle in range(spec.cycle, len(checkpoints)):
         state, failed = sim.tick_diff(state, checkpoints[cycle], monitors)
-        cycle += 1
-        if failed or not state or cycle == stimulus.n_cycles:
+        if failed or not state:
             break
     record = InjectionRecord(
         spec.kind, spec.target, spec.cycle, effect.reached, len(effect.changed),
@@ -210,13 +208,13 @@ POOL_MIN_PER_WORKER = 512
 _worker_ctx: dict = {}
 
 
-def _init_worker(sim, stimulus, checkpoints, tree):
-    _worker_ctx["args"] = (sim, stimulus, checkpoints, tree)
+def _init_worker(sim, checkpoints, monitors, tree):
+    _worker_ctx["args"] = (sim, checkpoints, monitors, tree)
 
 
 def _run_one(spec: FaultSpec) -> tuple[InjectionRecord, tuple[str, ...]]:
-    sim, stimulus, checkpoints, tree = _worker_ctx["args"]
-    return run_injection(sim, stimulus, checkpoints, spec, tree)
+    sim, checkpoints, monitors, tree = _worker_ctx["args"]
+    return run_injection(sim, checkpoints, monitors, spec, tree)
 
 
 def resolve_targets(
@@ -259,7 +257,7 @@ def check_targets(
     """Raise ``CampaignError`` unless every target can be injected.
 
     An SET target is a buffer of ``tree`` whose cone names only netlist
-    flip-flops; an SEU target is a netlist flip-flop.
+    flip-flops, each once; an SEU target is a netlist flip-flop.
     """
     if mode is FaultKind.SET and tree is None:
         raise CampaignError("clock transient injection needs a clock tree")
@@ -272,12 +270,16 @@ def check_targets(
     if mode is FaultKind.SEU:
         return
     for target in targets:
-        missing = [name for name in tree.cone(target) if name not in ffs]
+        cone = tree.cone(target)
+        missing = [name for name in cone if name not in ffs]
         if missing:
             raise CampaignError(
                 f"cone of buffer '{target}' names {len(missing)} flip-flop(s) "
                 f"missing from netlist '{netlist.name}', first '{missing[0]}'"
             )
+        twice = [name for name, n in Counter(cone).items() if n > 1]
+        if twice:
+            raise CampaignError(f"cone of buffer '{target}' names flip-flop '{twice[0]}' more than once")
 
 
 def run_specs(
@@ -321,17 +323,18 @@ def run_specs(
             if row != want:
                 raise CampaignError(f"golden trace differs from the simulated run at cycle {cycle}")
 
+    monitors = set(sim.slots(stimulus.monitors))
     n_workers = min(workers, len(specs) // POOL_MIN_PER_WORKER)
     if n_workers > 1:
         with ProcessPoolExecutor(
             max_workers=n_workers,
             initializer=_init_worker,
-            initargs=(sim, stimulus, checkpoints, tree),
+            initargs=(sim, checkpoints, monitors, tree),
         ) as pool:
             chunk = max(1, len(specs) // (n_workers * 8))
             runs = list(pool.map(_run_one, specs, chunksize=chunk))
     else:
-        runs = [run_injection(sim, stimulus, checkpoints, s, tree) for s in specs]
+        runs = [run_injection(sim, checkpoints, monitors, s, tree) for s in specs]
 
     # aggregation depends only on the spec list order, never completion order
     records = tuple(record for record, _ in runs)

@@ -66,11 +66,13 @@ def _require_file(path: str, what: str) -> Path:
 
 
 def _load(load, path: Path):
-    """``load(path)``, with a file that is not UTF-8 text a usage error."""
+    """``load(path)``, with a file not UTF-8 or nested too deeply to parse a usage error."""
     try:
         return load(path)
     except UnicodeDecodeError as e:
         raise UsageError(f"{path} is not UTF-8 text ({e.reason} at byte {e.start})") from e
+    except RecursionError as e:
+        raise UsageError(f"{path} is nested too deeply to parse") from e
 
 
 def _write_manifest(
@@ -308,9 +310,7 @@ def _cmd_campaign(args) -> int:
 
 def _cmd_report(args) -> int:
     result_paths = [_require_file(r, "campaign result") for r in args.results]
-    results = [
-        result_from_json(_load(lambda p: p.read_text(encoding="utf-8"), p)) for p in result_paths
-    ]
+    results = [_load(lambda p: result_from_json(p.read_text(encoding="utf-8")), p) for p in result_paths]
     fit_library: Optional[FitLibrary] = None
     input_files = list(result_paths)
     if args.fit_library:

@@ -1,13 +1,14 @@
-"""Fault models written into the kernel's value list mid-cycle.
+"""Fault models as the flip-flops they flip at the fault point of a cycle.
 
 A transient on a clock buffer acts as a premature extra clock edge for every
-flip-flop in that buffer's cone: ``Simulator.clock`` latches the cone, each
-flip-flop copying its input value to its output (a disabled one keeps its
-stored value). An upset flips one flip-flop's stored value in place. Both
-write Q slots only; ``Simulator.tick_diff`` then settles the differences
-they made, so the rest of the cycle observes the corrupted values. Each
-returns an ``InjectionEffect``: the number of flip-flops reached, and the
-names of those whose value changed, which the per-flip-flop tallies need.
+flip-flop in that buffer's cone: each takes the value it would latch on an
+edge (``enable ? D : Q``), so in two-valued logic its Q flips exactly when
+its enable is on, or it has none, and its D differs from its Q. An upset
+flips one flip-flop. Neither writes anything: each reads at most the settled
+fault-free values of the cycle's checkpoint and returns an
+``InjectionEffect``, the number of flip-flops reached and the names of those
+whose value flipped, which ``campaign.run_injection`` turns into the first
+difference from the fault-free run and the per-flip-flop tallies count.
 Both trust their target: ``campaign.run_specs`` checks every target of a
 campaign with ``check_targets`` before any injection runs.
 """
@@ -51,25 +52,21 @@ class InjectionEffect:
 def apply_set(
     sim: Simulator,
     tree: ClockTree,
-    v: list[int],
+    settled: bytes,
     buffer_id: str,
 ) -> InjectionEffect:
     """Inject a clock transient on one buffer of the distribution network.
 
-    Every flip-flop in the buffer's cone simultaneously takes the value it
-    would latch on a clock edge, evaluated against the settled values ``v``
-    of the current cycle; only the cone's Q slots of ``v`` are written.
+    Every flip-flop in the buffer's cone takes ``enable ? D : Q`` against
+    the values ``settled`` of the current cycle; those it moves change.
     """
     cone = tree.cone(buffer_id)
     pins = [sim.pins[name] for name in cone]
-    before = [v[q] for q, _, _ in pins]
-    sim.clock(v, pins)
-    changed = tuple(name for name, (q, _, _), bit in zip(cone, pins, before) if v[q] != bit)
+    changed = tuple(name for name, (q, d, en) in zip(cone, pins)
+                    if (en < 0 or settled[en]) and settled[d] != settled[q])
     return InjectionEffect(reached=len(cone), changed=changed)
 
 
-def apply_seu(sim: Simulator, v: list[int], ff_name: str) -> InjectionEffect:
-    """Flip one flip-flop's stored value, its Q slot in ``v``."""
-    q, _, _ = sim.pins[ff_name]
-    v[q] ^= 1
+def apply_seu(ff_name: str) -> InjectionEffect:
+    """Flip one flip-flop's stored value."""
     return InjectionEffect(reached=1, changed=(ff_name,))

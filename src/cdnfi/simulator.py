@@ -9,11 +9,12 @@ the golden trace and, on request, a ``Checkpoint`` of every cycle, the
 settled values before its edge and after it. Injections do not replay from
 reset. A faulty run is kept as its difference from the fault-free one:
 ``Simulator.tick_diff`` takes the Q slots that differ at the fault point of
-a cycle, re-evaluates only the gates and flip-flops those differences reach,
-against that cycle's checkpoint, and tells whether a monitored output is
-among them after the edge (``campaign.run_injection``). The
-netlist is checked once, when it is parsed, and the stimulus by ``run``
-with ``validate_stimulus`` before the loop.
+a cycle (at the strike, those of the flip-flops the fault flips),
+re-evaluates only the gates and flip-flops those differences reach, against
+that cycle's checkpoint, and tells whether a monitored output is among them
+after the edge (``campaign.run_injection``). The netlist is checked once,
+when it is parsed, and the stimulus by ``run`` with ``validate_stimulus``
+before the loop.
 
 The kernel compiles the netlist into a plan sorted by logic level, from the
 levels the netlist computed once for its cycle check, and then by opcode. A
@@ -30,9 +31,9 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import AbstractSet, Collection, Iterable, Mapping, NamedTuple, Optional
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Optional
 
-from .netlist import Netlist, NetlistError, is_bit
+from .netlist import GATE_ARITY, Netlist, NetlistError, is_bit
 
 
 class SimulationError(Exception):
@@ -105,7 +106,7 @@ _OPS = {
     "NOR": 5, "XNOR": 6, "BUF": 7, "MUX2": 8, "CONST0": 9, "CONST1": 10,
 }
 # inputs each opcode reads
-_ARITY = (2, 2, 1, 2, 2, 2, 2, 1, 3, 0, 0)
+_ARITY = tuple(GATE_ARITY[kind] for kind in _OPS)
 
 
 class Simulator:
@@ -192,13 +193,6 @@ class Simulator:
             else:
                 for *_, out in gates:
                     v[out] = 1
-
-    def clock(self, v: list[int], pins: Collection[tuple[int, int, int]]) -> None:
-        """Clock the flip-flops with these ``pins`` at once: each Q takes
-        ``enable ? D : Q``, with every D read before any Q is written."""
-        new = [v[d] if en < 0 or v[en] else v[q] for q, d, en in pins]
-        for (q, _, _), bit in zip(pins, new):
-            v[q] = bit
 
     def slots(self, nets: Iterable[str]) -> list[int]:
         """The value-list slots of these nets, in order."""
@@ -309,7 +303,10 @@ class Simulator:
             self._settle(v)
             if checkpoints is not None:
                 settled = bytes(v)
-            self.clock(v, self._pin_list)
+            # the edge: every Q takes enable ? D : Q, each D read before any Q is written
+            latched = [v[d] if en < 0 or v[en] else v[q] for q, d, en in self._pin_list]
+            for q, bit in zip(self._q_ids, latched):
+                v[q] = bit
             self._settle(v)
             if checkpoints is not None:
                 checkpoints.append(Checkpoint(settled, bytes(v)))

@@ -124,17 +124,18 @@ def fault_on_state(
     sim: Simulator,
     ref: Stepper,
     state: SimState,
-    apply: Callable[[list[int]], InjectionEffect],
+    apply: Callable[[bytes], InjectionEffect],
 ) -> tuple[SimState, InjectionEffect]:
     """Run ``apply`` on a settled state as ``campaign.run_injection`` does.
 
-    The state's nets become the kernel's value list, ``apply`` writes Q
-    values into it, and the stepper settles the result again for the same
-    inputs.
+    The state's nets become the settled values of a checkpoint, ``apply``
+    names the flip-flops it flips, and the stepper settles the flipped
+    state again for the same inputs.
     """
-    v = [state.net_values[name] for name in sim.net_names]
-    effect = apply(v)
-    ff_values = {name: v[q] for name, (q, _, _) in sim.pins.items()}
+    effect = apply(bytes(state.net_values[name] for name in sim.net_names))
+    ff_values = dict(state.ff_values)
+    for name in effect.changed:
+        ff_values[name] ^= 1
     settled = ref.settle(SimState(state.cycle, ff_values, {}), _inputs(ref.netlist, state))
     return settled, effect
 

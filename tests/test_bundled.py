@@ -119,9 +119,10 @@ def test_deadend_probe_upsets_are_masked(lfsr, lfsr_stimulus):
     first, last = lfsr_stimulus.active_window
     sim = Simulator(lfsr)
     checkpoints = fault_free_checkpoints(sim, lfsr_stimulus)
+    monitors = set(sim.slots(lfsr_stimulus.monitors))
     for cycle in (first, (first + last) // 2, last):
         record, _ = run_injection(
-            sim, lfsr_stimulus, checkpoints, FaultSpec(FaultKind.SEU, "probe.tap", cycle),
+            sim, checkpoints, monitors, FaultSpec(FaultKind.SEU, "probe.tap", cycle),
         )
         assert record.classification is Classification.MASKED
 
@@ -130,7 +131,7 @@ def test_lfsr_upsets_do_fail_somewhere(lfsr, lfsr_stimulus):
     first, _ = lfsr_stimulus.active_window
     sim = Simulator(lfsr)
     record, _ = run_injection(
-        sim, lfsr_stimulus, fault_free_checkpoints(sim, lfsr_stimulus),
+        sim, fault_free_checkpoints(sim, lfsr_stimulus), set(sim.slots(lfsr_stimulus.monitors)),
         FaultSpec(FaultKind.SEU, "lfsr.7", first),
     )
     assert record.classification is Classification.FUNCTIONAL_FAILURE

@@ -26,7 +26,7 @@ from cdnfi.campaign import (
     sample_times,
     tally_records,
 )
-from cdnfi.clocktree import ByName, RandomShuffle, generate_tree
+from cdnfi.clocktree import ByName, ClockBuffer, ClockTree, RandomShuffle, generate_tree
 from cdnfi.faults import FaultKind, FaultSpec
 from cdnfi.netlist import FlipFlop, Gate, Netlist
 from cdnfi.simulator import GoldenTrace, Simulator, Stimulus, StimulusError
@@ -134,7 +134,9 @@ def test_toggle_upset_fails_from_injection_cycle():
     sim = Simulator(n)
     assert sim.run(st).rows == ((1,), (0,), (1,), (0,))
     spec = FaultSpec(FaultKind.SEU, "t", 2)
-    record, changed = run_injection(sim, st, fault_free_checkpoints(sim, st), spec)
+    record, changed = run_injection(
+        sim, fault_free_checkpoints(sim, st), set(sim.slots(st.monitors)), spec,
+    )
     assert record.classification is Classification.FUNCTIONAL_FAILURE
     assert (record.kind, record.target, record.cycle) == (FaultKind.SEU, "t", 2)
     assert (record.n_reached, record.n_changed) == (1, 1)
@@ -146,7 +148,9 @@ def test_deadend_upset_is_masked():
     st = Stimulus(4, tuple({"x": c % 2} for c in range(4)), (0, 3), ("y",))
     sim = Simulator(n)
     spec = FaultSpec(FaultKind.SEU, "dead", 1)
-    record, changed = run_injection(sim, st, fault_free_checkpoints(sim, st), spec)
+    record, changed = run_injection(
+        sim, fault_free_checkpoints(sim, st), set(sim.slots(st.monitors)), spec,
+    )
     assert record.classification is Classification.MASKED
     assert changed == ("dead",)
 
@@ -157,7 +161,9 @@ def test_recirculating_transient_is_structurally_masked():
     st = autonomous_stimulus(n, 3)
     sim = Simulator(n)
     spec = FaultSpec(FaultKind.SET, "b", 1)
-    record, changed = run_injection(sim, st, fault_free_checkpoints(sim, st), spec, tree)
+    record, changed = run_injection(
+        sim, fault_free_checkpoints(sim, st), set(sim.slots(st.monitors)), spec, tree,
+    )
     assert changed == ()
     assert (record.n_reached, record.n_changed) == (4, 0)
     assert record.classification is Classification.MASKED
@@ -169,7 +175,9 @@ def test_toggle_transient_fails():
     st = autonomous_stimulus(n, 4)
     spec = FaultSpec(FaultKind.SET, "b", 1)
     sim = Simulator(n)
-    record, _ = run_injection(sim, st, fault_free_checkpoints(sim, st), spec, tree)
+    record, _ = run_injection(
+        sim, fault_free_checkpoints(sim, st), set(sim.slots(st.monitors)), spec, tree,
+    )
     assert record.classification is Classification.FUNCTIONAL_FAILURE
 
 
@@ -192,17 +200,23 @@ def test_injection_validations(monkeypatch):
     unknown_monitor = Stimulus(4, st.input_vectors, st.active_window, ("nope",))
     fitting_golden = GoldenTrace(("nope",), golden.rows)
     upsets = [FaultSpec(FaultKind.SEU, "t", 1)] * 2
+    transients = [FaultSpec(FaultKind.SET, "b", 1)] * 2
+    # one buffer whose cone names the only flip-flop twice
+    twice = ClockTree((ClockBuffer("b", 1, None, ("t", "t")),), 1, 1, ByName())
     cases = [
-        (CampaignError, "cycle 9", st, upsets + [FaultSpec(FaultKind.SEU, "t", 9)], golden),
-        (CampaignError, "clock tree", st, [FaultSpec(FaultKind.SET, "b", 1)] * 2, golden),
-        (CampaignError, "golden", st, upsets, short),
-        (CampaignError, "golden trace differs from the simulated run at cycle 2$", st, upsets, stale),
-        (StimulusError, "outputs of 'toggle': nope", unknown_monitor, upsets, fitting_golden),
+        (CampaignError, "cycle 9", st, upsets + [FaultSpec(FaultKind.SEU, "t", 9)], None, golden),
+        (CampaignError, "clock tree", st, transients, None, golden),
+        (CampaignError, "cone of buffer 'b' names flip-flop 't' more than once", st, transients,
+         twice, golden),
+        (CampaignError, "golden", st, upsets, None, short),
+        (CampaignError, "golden trace differs from the simulated run at cycle 2$", st, upsets, None,
+         stale),
+        (StimulusError, "outputs of 'toggle': nope", unknown_monitor, upsets, None, fitting_golden),
     ]
-    for error, message, stimulus, specs, golden_arg in cases:
+    for error, message, stimulus, specs, tree, golden_arg in cases:
         for workers in (1, 2):
             with pytest.raises(error, match=message):
-                run_specs(Simulator(n), stimulus, specs, golden=golden_arg, workers=workers)
+                run_specs(Simulator(n), stimulus, specs, tree=tree, golden=golden_arg, workers=workers)
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,11 +230,12 @@ def test_run_injection_matches_full_replay(seed, kind):
     sim = Simulator(n)
     checkpoints = []
     golden = sim.run(st, checkpoints)
+    monitors = set(sim.slots(st.monitors))
     tree = generate_tree(n.ff_names(), rng.randint(1, 3), RandomShuffle(seed))
     targets = tree.buffer_ids() if kind is FaultKind.SET else n.ff_names()
     for _ in range(4):
         spec = FaultSpec(kind, rng.choice(targets), rng.randrange(st.n_cycles))
-        fast = run_injection(sim, st, checkpoints, spec, tree)
+        fast = run_injection(sim, checkpoints, monitors, spec, tree)
         assert fast == replay_injection(Stepper(n), st, golden, spec, tree)
 
 
@@ -245,7 +260,8 @@ def test_injection_stop_paths(monkeypatch, build, target, classification, cycles
         return tick(*args)
 
     monkeypatch.setattr(sim, "tick_diff", counted)
-    record, changed = run_injection(sim, st, checkpoints, FaultSpec(FaultKind.SEU, target, 1))
+    monitors = set(sim.slots(st.monitors))
+    record, changed = run_injection(sim, checkpoints, monitors, FaultSpec(FaultKind.SEU, target, 1))
     assert record.classification is classification
     assert changed == (target,)
     assert len(ticks) == cycles

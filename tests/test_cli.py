@@ -732,6 +732,8 @@ MALFORMED = [
     ("tree", json.dumps({**TOGGLE_TREE, "buffers": []}), "lists no buffers"),
     ("tree", json.dumps({**TOGGLE_TREE, "buffers": [TOGGLE_BUFFER, TOGGLE_BUFFER]}),
      "duplicate buffer ids"),
+    ("tree", json.dumps({**TOGGLE_TREE, "buffers": [{**TOGGLE_BUFFER, "cone": ["t", "t"]}]}),
+     "cone of buffer 'b' names flip-flop 't' more than once"),
 ]
 
 
@@ -758,18 +760,33 @@ def test_campaign_rejects_malformed_document(tmp_path, capsys, input_kind, text,
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("command, replaced", [
+READ_INPUTS = [
     ("sim", "netlist"), ("sim", "stimulus"), ("gen-cdn", "netlist"),
     ("campaign", "netlist"), ("campaign", "stimulus"), ("campaign", "golden"),
     ("campaign", "tree"), ("campaign", "fit-library"),
     ("report", "result"), ("report", "fit-library"),
-], ids=lambda x: x)
-def test_input_that_is_not_utf8_is_rejected(tmp_path, capsys, command, replaced):
+]
+NOT_UTF8 = (b"\xff{", "is not UTF-8 text (invalid start byte at byte 0)")
+# deeper than the JSON decoder's recursion limit; golden traces and FIT
+# libraries are CSV
+TOO_DEEP = (b"[" * 200_000 + b"]" * 200_000, "is nested too deeply to parse")
+UNREADABLE = [(command, replaced, NOT_UTF8) for command, replaced in READ_INPUTS] + [
+    (command, replaced, TOO_DEEP) for command, replaced in READ_INPUTS
+    if replaced not in ("golden", "fit-library")
+]
+
+
+@pytest.mark.parametrize("command, replaced, bad_input", UNREADABLE, ids=[
+    f"{command}-{replaced}" + ("-nested-too-deeply" if bad_input is TOO_DEEP else "")
+    for command, replaced, bad_input in UNREADABLE
+])
+def test_input_that_is_not_utf8_is_rejected(tmp_path, capsys, command, replaced, bad_input):
+    content, problem = bad_input
     netlist, stimulus = write_toggle(tmp_path)
     assert main(["campaign", str(netlist), str(stimulus), "--mode", "seu",
                  "--out-dir", str(tmp_path / "first")]) == 0
     bad = tmp_path / "bad_input"
-    bad.write_bytes(b"\xff{")
+    bad.write_bytes(content)
     inputs = {
         "netlist": netlist, "stimulus": stimulus, "golden": None, "tree": None,
         "fit-library": fit_library_path(), "result": tmp_path / "first" / "result_seu.json",
@@ -790,7 +807,7 @@ def test_input_that_is_not_utf8_is_rejected(tmp_path, capsys, command, replaced)
     before = tree_of_files(tmp_path)
     assert main([str(a) for a in argv]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {bad} is not UTF-8 text (invalid start byte at byte 0)"]
+    assert err == [f"error: {bad} {problem}"]
     assert tree_of_files(tmp_path) == before
 
 

@@ -27,7 +27,7 @@ def set_on_state(netlist, tree, state, buffer_id):
 
 def seu_on_state(netlist, state, ff_name):
     sim = Simulator(netlist)
-    return fault_on_state(sim, Stepper(netlist), state, lambda v: apply_seu(sim, v, ff_name))
+    return fault_on_state(sim, Stepper(netlist), state, lambda _: apply_seu(ff_name))
 
 
 def unchanged(tree, buffer_id, effect):
