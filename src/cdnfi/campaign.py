@@ -256,8 +256,8 @@ def check_targets(
 ) -> None:
     """Raise ``CampaignError`` unless every target can be injected.
 
-    An SET target is a buffer of ``tree`` whose cone names only netlist
-    flip-flops, each once; an SEU target is a netlist flip-flop.
+    An SEU target is a netlist flip-flop, an SET target a buffer of ``tree``,
+    whose root's cone, which holds all others, must name only netlist flip-flops.
     """
     if mode is FaultKind.SET and tree is None:
         raise CampaignError("clock transient injection needs a clock tree")
@@ -269,17 +269,12 @@ def check_targets(
         raise CampaignError(f"unknown {kind} target(s): {', '.join(unknown)}")
     if mode is FaultKind.SEU:
         return
-    for target in targets:
-        cone = tree.cone(target)
-        missing = [name for name in cone if name not in ffs]
-        if missing:
-            raise CampaignError(
-                f"cone of buffer '{target}' names {len(missing)} flip-flop(s) "
-                f"missing from netlist '{netlist.name}', first '{missing[0]}'"
-            )
-        twice = [name for name, n in Counter(cone).items() if n > 1]
-        if twice:
-            raise CampaignError(f"cone of buffer '{target}' names flip-flop '{twice[0]}' more than once")
+    missing = [name for name in tree.root.cone if name not in ffs]
+    if missing:
+        raise CampaignError(
+            f"cone of buffer '{tree.root.id}' names {len(missing)} flip-flop(s) "
+            f"missing from netlist '{netlist.name}', first '{missing[0]}'"
+        )
 
 
 def run_specs(

@@ -237,11 +237,11 @@ def _cmd_campaign(args) -> int:
     netlist = _load(load_netlist, netlist_path)
     sim = Simulator(netlist)
     stimulus = _load(load_stimulus, stimulus_path)
-    # every input is loaded and checked, and every campaign run, before
-    # anything is written
+    # every input is loaded and checked, and every campaign run, before anything
+    # is written; emit, the first writer, checks labels and FIT classes first
     trees = [_load(load_tree, p) for p in tree_paths]
     for tree in trees:
-        check_targets(netlist, FaultKind.SET, tree.buffer_ids(), tree)
+        check_targets(netlist, FaultKind.SET, (), tree)
     fit_library = None
     if args.fit_library:
         fit_path = _require_file(args.fit_library, "FIT library")
@@ -268,8 +268,10 @@ def _cmd_campaign(args) -> int:
     ]
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list[Path] = []
+    outputs = emit(
+        results, out_dir, fmt=args.format, fit_library=fit_library,
+        top_fraction=args.top_fraction,
+    )
     if not args.golden:
         golden_path = out_dir / "golden.csv"
         save_trace(results[0].golden, golden_path)
@@ -281,11 +283,6 @@ def _cmd_campaign(args) -> int:
         result_path = out_dir / f"result_{result.label}.json"
         result_path.write_text(result_to_json(result), encoding="utf-8")
         outputs.append(result_path)
-
-    outputs.extend(emit(
-        results, out_dir, fmt=args.format, fit_library=fit_library,
-        top_fraction=args.top_fraction,
-    ))
     _write_manifest(
         out_dir / "manifest.json", "campaign",
         {

@@ -9,8 +9,8 @@ cone is the set of flip-flops fed through it; the root buffer feeds everything.
 Splitting is decided per stage: a stage's nodes are all split or none are.
 Node sizes within a stage differ by at most one, so the decision is only ever
 ambiguous in a corner case, and resolving it stage-wide keeps every stage's
-cones an exact partition of the flip-flop set. That partition property is
-what campaign accounting identities rely on.
+cones an exact partition of the flip-flop set. Campaign accounting relies on
+that partition, so ``ClockTree`` enforces it on every tree, however made.
 """
 
 from __future__ import annotations
@@ -56,13 +56,44 @@ class ClockBuffer:
 
 @dataclass(frozen=True)
 class ClockTree:
+    """``buffers[0]`` is the root; each of the ``stages`` stages clocks every
+    flip-flop of the root's cone once, and a child only its parent's."""
+
     buffers: tuple[ClockBuffer, ...]
     stages: int
     min_fanout: int
     grouping: Grouping
 
     def __post_init__(self):
-        object.__setattr__(self, "_by_id", {b.id: b for b in self.buffers})
+        if not self.buffers:
+            raise ClockTreeError("clock tree lists no buffers")
+        by_id = {b.id: b for b in self.buffers}
+        if len(by_id) != len(self.buffers):
+            raise ClockTreeError("clock tree has duplicate buffer ids")
+        object.__setattr__(self, "_by_id", by_id)
+        if self.root.parent is not None or self.root.stage != 1:
+            raise ClockTreeError(f"root buffer '{self.root.id}' must sit at stage 1 with no parent")
+        for b in self.buffers[1:]:
+            if b.parent not in by_id or b.stage != by_id[b.parent].stage + 1:
+                raise ClockTreeError(f"buffer '{b.id}' is not one stage below a listed parent {b.parent!r}")
+        if {b.stage for b in self.buffers} != set(range(1, self.stages + 1)):
+            raise ClockTreeError(f"clock tree buffers do not fill stages 1 to {self.stages}")
+        # stage -> flip-flop -> the buffer clocking it; the root's parent None clocks nothing at stage 0
+        owner: dict[int, dict[str, str]] = {stage: {} for stage in range(self.stages + 1)}
+        for b in sorted(self.buffers, key=lambda b: b.stage):
+            own, above = owner[b.stage], owner[b.stage - 1]
+            for name in b.cone:
+                seen = own.get(name)
+                if seen is not None:
+                    raise ClockTreeError(f"cone of buffer '{b.id}' names flip-flop '{name}' more than once"
+                                         if seen == b.id else f"buffers '{seen}' and '{b.id}' share '{name}'")
+                if above.get(name) != b.parent:
+                    raise ClockTreeError(f"buffer '{b.id}' clocks flip-flop '{name}', its parent does not")
+                own[name] = b.id
+        dropped = [(stage, name) for stage in range(2, self.stages + 1) for name in self.root.cone
+                   if name not in owner[stage]]
+        if dropped:
+            raise ClockTreeError("no buffer at stage {} clocks flip-flop '{}'".format(*dropped[0]))
 
     def buffer(self, buffer_id: str) -> ClockBuffer:
         try:
@@ -205,15 +236,9 @@ def parse_tree(text: str) -> ClockTree:
         else:
             raise ClockTreeError(f"unknown grouping mode '{mode}'")
         buffers = tuple(_parse_buffer(b) for b in doc["buffers"])
-        tree = ClockTree(buffers, doc["stages"], doc["min_fanout"], grouping)
+        return ClockTree(buffers, doc["stages"], doc["min_fanout"], grouping)
     except (KeyError, TypeError) as e:
         raise ClockTreeError(f"malformed clock tree document: {e!r}") from e
-    if not buffers:
-        raise ClockTreeError("clock tree document lists no buffers")
-    ids = [b.id for b in buffers]
-    if len(set(ids)) != len(ids):
-        raise ClockTreeError("clock tree document has duplicate buffer ids")
-    return tree
 
 
 def load_tree(path) -> ClockTree:

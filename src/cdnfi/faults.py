@@ -9,8 +9,8 @@ fault-free values of the cycle's checkpoint and returns an
 ``InjectionEffect``, the number of flip-flops reached and the names of those
 whose value flipped, which ``campaign.run_injection`` turns into the first
 difference from the fault-free run and the per-flip-flop tallies count.
-Both trust their target: ``campaign.run_specs`` checks every target of a
-campaign with ``check_targets`` before any injection runs.
+Both trust their target: before any injection runs, ``ClockTree`` has checked
+every cone and ``campaign.run_specs`` every target (``check_targets``).
 """
 
 from __future__ import annotations

@@ -235,10 +235,21 @@ def emit(
     combination table when a library is supplied, and a plain-text summary.
     The FIT table counts the flip-flops of the first upset campaign and the
     targets of the largest transient campaign.
-    Output bytes depend only on the inputs.
+    Output bytes depend only on the inputs. Nothing is written unless the
+    labels are distinct and the FIT library has every cell class it needs.
     """
     if fmt not in ("csv", "text"):
         raise ReportError(f"unsupported report format '{fmt}'")
+    labels = [r.label or f"campaign{i}" for i, r in enumerate(results)]
+    if len(set(labels)) < len(labels):
+        raise ReportError(f"campaign labels {', '.join(labels)} are not distinct")
+    fit_rows = []
+    for mode, cell_class in ((FaultKind.SEU, "flipflop"), (FaultKind.SET, "clock_buffer")):
+        same = [r for r in results if r.mode is mode]
+        if fit_library is not None and same:
+            mean = sum((_result_fdr(r) for r in same), Fraction(0)) / len(same)
+            count = len(same[0].per_ff) if mode is FaultKind.SEU else max(len(r.per_target) for r in same)
+            fit_rows.append(combine_fit(count, mean, fit_library.get(cell_class), cell_class))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -254,10 +265,6 @@ def emit(
             w.writerow(row)
         path.write_text(buf.getvalue(), encoding="utf-8")
         written.append(path)
-
-    labels = []
-    for i, r in enumerate(results):
-        labels.append(r.label if r.label else f"campaign{i}")
 
     # campaign totals
     rows = []
@@ -341,25 +348,13 @@ def emit(
 
     # FIT combination
     if fit_library is not None:
-        rows = []
-        seu = [r for r in results if r.mode is FaultKind.SEU]
-        set_ = [r for r in results if r.mode is FaultKind.SET]
-        if seu:
-            mean = sum((_result_fdr(r) for r in seu), Fraction(0)) / len(seu)
-            s = combine_fit(len(seu[0].per_ff), mean, fit_library.get("flipflop"), "flipflop")
-            rows.append(s)
-        if set_:
-            mean = sum((_result_fdr(r) for r in set_), Fraction(0)) / len(set_)
-            count = max(len(r.per_target) for r in set_)
-            s = combine_fit(count, mean, fit_library.get("clock_buffer"), "clock_buffer")
-            rows.append(s)
         table(
             "rate_summary",
             ["element_type", "element_count", "avg_fdr", "fit_per_element",
              "failure_rate", "failure_rate_exact"],
             [[s.element_type, s.element_count, render_rate(s.avg_fdr),
               render_rate(s.fit_per_element, 6), s.failure_rate,
-              render_rate(s.exact_rate, 10)] for s in rows],
+              render_rate(s.exact_rate, 10)] for s in fit_rows],
         )
 
     # plain-text summary

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from cdnfi import bundled
+
+# more examples for property tests that leave max_examples to the profile;
+# CI selects it with --hypothesis-profile=ci, Tier-1 keeps the default
+settings.register_profile("ci", max_examples=2000)
 
 
 @pytest.fixture(scope="session")

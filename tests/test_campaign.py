@@ -26,7 +26,7 @@ from cdnfi.campaign import (
     sample_times,
     tally_records,
 )
-from cdnfi.clocktree import ByName, ClockBuffer, ClockTree, RandomShuffle, generate_tree
+from cdnfi.clocktree import ByName, RandomShuffle, generate_tree
 from cdnfi.faults import FaultKind, FaultSpec
 from cdnfi.netlist import FlipFlop, Gate, Netlist
 from cdnfi.simulator import GoldenTrace, Simulator, Stimulus, StimulusError
@@ -201,13 +201,9 @@ def test_injection_validations(monkeypatch):
     fitting_golden = GoldenTrace(("nope",), golden.rows)
     upsets = [FaultSpec(FaultKind.SEU, "t", 1)] * 2
     transients = [FaultSpec(FaultKind.SET, "b", 1)] * 2
-    # one buffer whose cone names the only flip-flop twice
-    twice = ClockTree((ClockBuffer("b", 1, None, ("t", "t")),), 1, 1, ByName())
     cases = [
         (CampaignError, "cycle 9", st, upsets + [FaultSpec(FaultKind.SEU, "t", 9)], None, golden),
         (CampaignError, "clock tree", st, transients, None, golden),
-        (CampaignError, "cone of buffer 'b' names flip-flop 't' more than once", st, transients,
-         twice, golden),
         (CampaignError, "golden", st, upsets, None, short),
         (CampaignError, "golden trace differs from the simulated run at cycle 2$", st, upsets, None,
          stale),

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib.metadata
 import importlib.util
@@ -446,6 +447,45 @@ def test_campaign_rejects_non_numeric_fit_value(tmp_path, capsys):
     assert err[0].startswith("error:") and "'flipflop', 'abc'" in err[0]
 
 
+@pytest.mark.parametrize("command", ["campaign", "report"])
+@pytest.mark.parametrize("mode, problem, message", [
+    ("seu", "fit", "FIT library has no cell class 'flipflop'"),
+    ("set", "fit", "FIT library has no cell class 'clock_buffer'"),
+    ("set", "labels", "campaign labels cdn_by_name, cdn_by_name are not distinct"),
+], ids=["seu-fit-class-missing", "set-fit-class-missing", "label-twice"])
+def test_nothing_is_written_when_the_report_cannot_be_made(tmp_path, capsys, command, mode, problem,
+                                                           message):
+    net = circuit_path("lfsr_counter")
+    trees = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        save_tree(generate_tree(load_netlist(net).ff_names(), 3), tmp_path / sub / "cdn_by_name.json")
+        trees += ["--tree", str(tmp_path / sub / "cdn_by_name.json")]
+    library = tmp_path / "fit.csv"
+    library.write_text("cell_class,fit\n" + ("clock_buffer,1\n" if mode == "seu" else "flipflop,1\n"))
+    fit = ["--fit-library", str(library)] if problem == "fit" else []
+
+    def campaign(out_dir, *options):
+        return main(["campaign", str(net), str(stimulus_path("lfsr_counter")), "--mode", mode,
+                     "--injections-per-target", "1", *options, "--out-dir", str(out_dir)])
+
+    one_tree = [] if mode == "seu" else trees[:2]
+    out_dir = tmp_path / "out"
+    if command == "campaign":
+        run = functools.partial(campaign, out_dir, *(trees if problem == "labels" else one_tree), *fit)
+    else:
+        assert campaign(tmp_path / "first", *one_tree) == 0
+        result = tmp_path / "first" / ("result_seu.json" if mode == "seu" else "result_cdn_by_name.json")
+        twice = [str(result)] if problem == "labels" else []
+        run = functools.partial(main, ["report", str(result), *twice, *fit, "--out-dir", str(out_dir)])
+    capsys.readouterr()
+    assert run() == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and message in err[0]
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("option, text, message", [
     ("--fit-library", "cell_class,fit\nflipflop,abc\n", "'flipflop', 'abc'"),
     ("--golden", "q\n2\n", "non-binary"),
@@ -666,10 +706,22 @@ def numeric_id(path):
     path.write_text(json.dumps(doc))
 
 
+def overlapping_leaves(path):
+    # lfsr.0 hangs under both leaves of stage 2
+    doc = json.loads(path.read_text())
+    doc["stages"], doc["buffers"] = 2, [
+        {"id": "r", "stage": 1, "parent": None, "cone": ["lfsr.0", "lfsr.1"]},
+        {"id": "b0", "stage": 2, "parent": "r", "cone": ["lfsr.0", "lfsr.1"]},
+        {"id": "b1", "stage": 2, "parent": "r", "cone": ["lfsr.0"]},
+    ]
+    path.write_text(json.dumps(doc))
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (string_cone, "'cone' must be a list"),
     (cone_naming_nobody, "'nobody'"),
     (numeric_id, "buffer id 5 must be a string"),
+    (overlapping_leaves, "buffers 'b0' and 'b1' share 'lfsr.0'"),
 ])
 def test_campaign_checks_every_tree_before_running(tmp_path, capsys, corrupt, message):
     net = circuit_path("lfsr_counter")
@@ -697,6 +749,14 @@ def document(base, drop=None, **changes):
 
 TOGGLE_TREE = {"min_fanout": 1, "grouping": {"mode": "by_name"}, "stages": 1}
 TOGGLE_BUFFER = {"id": "b", "stage": 1, "parent": None, "cone": ["t"]}
+TOGGLE_CHILD = {"id": "b0", "stage": 2, "parent": "b", "cone": ["t"]}
+
+
+def toggle_tree(*children, stages=2):
+    """A tree document over the toggle's one flip-flop: the root ``b``, then ``children``."""
+    return json.dumps({**TOGGLE_TREE, "stages": stages, "buffers": [TOGGLE_BUFFER, *children]})
+
+
 GATE = {"id": "inv", "kind": "NOT", "in": ["q"], "out": "d"}
 
 
@@ -734,6 +794,15 @@ MALFORMED = [
      "duplicate buffer ids"),
     ("tree", json.dumps({**TOGGLE_TREE, "buffers": [{**TOGGLE_BUFFER, "cone": ["t", "t"]}]}),
      "cone of buffer 'b' names flip-flop 't' more than once"),
+    ("tree", toggle_tree(TOGGLE_CHILD, {**TOGGLE_CHILD, "id": "b1"}), "buffers 'b0' and 'b1' share 't'"),
+    ("tree", toggle_tree({**TOGGLE_CHILD, "cone": []}), "no buffer at stage 2 clocks flip-flop 't'"),
+    ("tree", toggle_tree({**TOGGLE_CHILD, "parent": "ghost"}),
+     "buffer 'b0' is not one stage below a listed parent 'ghost'"),
+    ("tree", toggle_tree({**TOGGLE_CHILD, "stage": "two"}), "buffer 'b0' is not one stage below"),
+    ("tree", toggle_tree({**TOGGLE_CHILD, "stage": 2.5}), "is not one stage below a listed parent 'b'"),
+    ("tree", toggle_tree(TOGGLE_CHILD, stages="many"), "malformed clock tree document"),
+    ("tree", toggle_tree(stages=0), "do not fill stages 1 to 0"),
+    ("tree", toggle_tree(stages=2), "do not fill stages 1 to 2"),
 ]
 
 

@@ -1,9 +1,13 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdnfi.clocktree import (
     ByName,
+    ClockBuffer,
+    ClockTree,
     ClockTreeError,
     RandomShuffle,
     UnknownBufferError,
@@ -187,6 +191,44 @@ def test_parse_rejects_malformed_documents():
         parse_tree('{"grouping": {"mode": "by_name"}, "buffers": [{}]}')
     with pytest.raises(ClockTreeError, match="grouping mode"):
         parse_tree('{"grouping": {"mode": "starlike"}, "buffers": [], "stages": 1, "min_fanout": 1}')
+
+
+def two_stage(*buffers, stages=2):
+    """A tree of root ``b`` over ``x``, ``y`` and the given buffers."""
+    return ClockTree((ClockBuffer("b", 1, None, ("x", "y")), *buffers), stages, 1, ByName())
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ClockTree((), 1, 1, ByName()), "lists no buffers"),
+    (lambda: ClockTree((ClockBuffer("b", 1, None, ("t", "t")),), 1, 1, ByName()),
+     "cone of buffer 'b' names flip-flop 't' more than once"),
+    (lambda: two_stage(ClockBuffer("b", 2, "b", ("x",)), stages=1), "duplicate buffer ids"),
+    (lambda: ClockTree((ClockBuffer("b", 2, None, ("x",)),), 2, 1, ByName()),
+     "root buffer 'b' must sit at stage 1"),
+    (lambda: two_stage(ClockBuffer("b0", 2, "b", ("x", "y")), ClockBuffer("b1", 2, "b", ("y",))),
+     "buffers 'b0' and 'b1' share 'y'"),
+    (lambda: two_stage(ClockBuffer("b0", 2, "b", ("x",))), "no buffer at stage 2 clocks flip-flop 'y'"),
+    (lambda: two_stage(ClockBuffer("b0", 2, "b", ("x", "y", "z"))),
+     "buffer 'b0' clocks flip-flop 'z', its parent does not"),
+    (lambda: two_stage(ClockBuffer("b0", 2, "nobody", ("x", "y"))), "is not one stage below a listed parent"),
+    (lambda: two_stage(ClockBuffer("b0", 2, None, ("x", "y"))), "is not one stage below a listed parent"),
+    (lambda: two_stage(ClockBuffer("b0", 3, "b", ("x", "y")), stages=3), "is not one stage below a listed parent"),
+    (lambda: two_stage(stages=2), "do not fill stages 1 to 2"),
+    (lambda: two_stage(ClockBuffer("b0", 2, "b", ("x", "y")), stages=1), "do not fill stages 1 to 1"),
+    (lambda: two_stage(stages=0), "do not fill stages 1 to 0"),
+], ids=["empty", "cone-names-twice", "duplicate-ids", "root-below-stage-1", "siblings-overlap",
+        "stage-drops-a-flip-flop", "child-outside-parent", "unknown-parent", "second-root",
+        "skips-a-stage", "leaf-above-last-stage", "children-below-last-stage", "zero-stages"])
+def test_tree_rule_is_enforced_on_construction(build, message):
+    with pytest.raises(ClockTreeError, match=re.escape(message)):
+        build()
+
+
+def test_tree_rule_does_not_depend_on_buffer_order():
+    tree = generate_tree(names(9), 2)
+    root, *rest = tree.buffers
+    shuffled = ClockTree((root, *reversed(rest)), tree.stages, tree.min_fanout, tree.grouping)
+    assert parse_tree(serialize_tree(shuffled)) == shuffled
 
 
 def test_random_grouping_spreads_document_neighbours():
