@@ -3,21 +3,24 @@
 ``run_specs`` checks the campaign's inputs once (``check_targets`` decides
 that every target can be injected), then makes the campaign's one fault-free
 pass, which gives the golden trace and a checkpoint of the net values of
-every cycle; a supplied golden trace must equal that pass. Injections do not
-replay from reset. Each starts from the checkpoint of its scheduled cycle on
-the campaign's compiled kernel. Its fault strikes mid-cycle (after the
-combinational settle, before the edge) and names the flip-flops it flips
-there, which are the run's first difference from the fault-free one; from
-then on only what differs is simulated. It is a functional failure, and
-stops, at the first edge after which a monitored output differs from that
-run. It stops as masked once the flip-flop state after an edge is back on
-the fault-free path, since the rest of the run then depends only on that
-state and the inputs, or at the end of the stimulus.
+every cycle; a supplied golden trace must equal that pass. An injection is a
+function of its spec (kind, target, cycle), so each distinct spec is
+simulated once and every copy in the list takes its result. Injections do
+not replay from reset. The distinct specs of one cycle run as one group
+from that cycle's checkpoint on the campaign's compiled kernel, one bit lane
+each (``run_group``). Each fault strikes mid-cycle (after the combinational
+settle, before the edge) and names the flip-flops it flips there, which are
+its lane's first difference from the fault-free run; from then on only what
+differs in some lane is simulated. A lane is a functional failure, and
+drops out, at the first edge after which a monitored output differs from
+that run. It drops out as masked once its flip-flop state after an edge is
+back on the fault-free path, since the rest of the run then depends only on
+that state and the inputs, or at the end of the stimulus.
 Injection times are drawn uniformly (with replacement) from the stimulus
 active window by a seeded generator, so a campaign is a pure function of its
-inputs and seed. A result holds one ``InjectionRecord`` per injection in list
-order, the row its log and JSON write; its tallies are a function of those
-records (``tally_records``), which keeps multi-worker runs and reruns
+inputs and seed. A result holds one ``InjectionRecord`` per listed injection
+in list order, the row its log and JSON write; its tallies are a function of
+those records (``tally_records``), which keeps multi-worker runs and reruns
 byte-identical.
 """
 
@@ -152,46 +155,64 @@ def sample_times(cfg: CampaignConfig, window: tuple[int, int], target: Optional[
 
 
 # ---------------------------------------------------------------------------
-# single injection
+# injection groups
 
 
-def run_injection(
+def run_group(
     sim: Simulator,
     checkpoints: Sequence[Checkpoint],
     monitors: AbstractSet[int],
-    spec: FaultSpec,
+    specs: Sequence[FaultSpec],
     tree: Optional[ClockTree] = None,
-) -> tuple[InjectionRecord, tuple[str, ...]]:
-    """Run from the checkpoint of spec.cycle with one fault applied.
+) -> list[tuple[InjectionRecord, tuple[str, ...]]]:
+    """Run injections that share one cycle from its checkpoint, one bit lane
+    per spec, in one pass.
 
     ``checkpoints`` are those ``Simulator.run`` records for a stimulus and
-    ``monitors`` the slots of its monitors. The fault names the flip-flops
-    it flips in its cycle's checkpoint; from then on the run is kept as the
-    flip-flops and nets that differ from the fault-free run
-    (``Simulator.tick_diff``). The first edge after which a monitored output
-    is among them makes the injection a functional failure. A flip-flop
-    state with no difference left makes it masked, and so does the last
-    checkpoint; either way it stops there. The result equals a full replay
-    from reset compared with the fault-free trace.
+    ``monitors`` the slots of its monitors. Each fault names the flip-flops
+    it flips in the cycle's checkpoint, and sets its lane's bit in their Q
+    slots; from then on the group is kept as the flip-flops and nets that
+    differ from the fault-free run in some lane (``Simulator.tick_lanes``).
+    A lane in which a monitored output differs after an edge is a
+    functional failure; one with no flip-flop differing after an edge is
+    masked, and so is every lane still running at the last checkpoint.
+    Either way the lane drops out, and the group stops when none is left.
+    Each lane's result equals a full replay of its injection from reset
+    compared with the fault-free trace.
 
-    Returns the injection's record and the flip-flops the fault changed. It
+    Returns, per spec, its record and the flip-flops its fault changed. It
     trusts its inputs, which ``run_specs`` checks once per campaign.
     """
-    settled = checkpoints[spec.cycle].settled
-    if spec.kind is FaultKind.SET:
-        effect = apply_set(sim, tree, settled, spec.target)
-    else:
-        effect = apply_seu(spec.target)
-    state = {q: settled[q] ^ 1 for q, _, _ in (sim.pins[name] for name in effect.changed)}
-    for cycle in range(spec.cycle, len(checkpoints)):
-        state, failed = sim.tick_diff(state, checkpoints[cycle], monitors)
-        if failed or not state:
+    cycle = specs[0].cycle
+    settled = checkpoints[cycle].settled
+    effects = []
+    state: dict[int, int] = {}
+    lane = 1
+    for spec in specs:
+        if spec.kind is FaultKind.SET:
+            effect = apply_set(sim, tree, settled, spec.target)
+        else:
+            effect = apply_seu(spec.target)
+        for name in effect.changed:
+            q = sim.pins[name][0]
+            state[q] = state.get(q, -settled[q]) ^ lane
+        effects.append(effect)
+        lane <<= 1
+    live = lane - 1
+    failed = 0
+    for c in range(cycle, len(checkpoints)):
+        state, fail, live = sim.tick_lanes(state, checkpoints[c], monitors, live)
+        failed |= fail
+        if not live:
             break
-    record = InjectionRecord(
-        spec.kind, spec.target, spec.cycle, effect.reached, len(effect.changed),
-        Classification.FUNCTIONAL_FAILURE if failed else Classification.MASKED,
-    )
-    return record, effect.changed
+    runs = []
+    for spec, effect in zip(specs, effects):
+        classification = Classification.FUNCTIONAL_FAILURE if failed & 1 else Classification.MASKED
+        record = InjectionRecord(spec.kind, spec.target, spec.cycle, effect.reached,
+                                 len(effect.changed), classification)
+        runs.append((record, effect.changed))
+        failed >>= 1
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +221,14 @@ def run_injection(
 # a pool worker costs a fork and a copy-on-write share of the kernel; with
 # fewer injections than this per worker, a two-worker pool took at least as
 # long as the serial loop on both the bundled and the synthetic circuits
+# (measured one injection per task); the count is of distinct injections,
+# since only those are simulated
 POOL_MIN_PER_WORKER = 512
 
-# per-worker context for process pools, set once by the initializer so specs
-# are the only payload crossing process boundaries per task; the compiled
-# kernel is an initializer argument, so under fork the workers inherit it
+# per-worker context for process pools, set once by the initializer so
+# injection groups are the only payload crossing process boundaries per
+# task; the compiled kernel is an initializer argument, so under fork the
+# workers inherit it
 _worker_ctx: dict = {}
 
 
@@ -212,9 +236,9 @@ def _init_worker(sim, checkpoints, monitors, tree):
     _worker_ctx["args"] = (sim, checkpoints, monitors, tree)
 
 
-def _run_one(spec: FaultSpec) -> tuple[InjectionRecord, tuple[str, ...]]:
+def _run_group(specs: list[FaultSpec]) -> list[tuple[InjectionRecord, tuple[str, ...]]]:
     sim, checkpoints, monitors, tree = _worker_ctx["args"]
-    return run_injection(sim, checkpoints, monitors, spec, tree)
+    return run_group(sim, checkpoints, monitors, specs, tree)
 
 
 def resolve_targets(
@@ -318,18 +342,28 @@ def run_specs(
             if row != want:
                 raise CampaignError(f"golden trace differs from the simulated run at cycle {cycle}")
 
+    # an injection is a function of its spec, so each distinct spec runs
+    # once, in the group of its cycle
+    distinct = dict.fromkeys(specs)
+    groups: dict[int, list[FaultSpec]] = {}
+    for spec in distinct:
+        groups.setdefault(spec.cycle, []).append(spec)
     monitors = set(sim.slots(stimulus.monitors))
-    n_workers = min(workers, len(specs) // POOL_MIN_PER_WORKER)
+    n_workers = min(workers, len(distinct) // POOL_MIN_PER_WORKER)
     if n_workers > 1:
         with ProcessPoolExecutor(
             max_workers=n_workers,
             initializer=_init_worker,
             initargs=(sim, checkpoints, monitors, tree),
         ) as pool:
-            chunk = max(1, len(specs) // (n_workers * 8))
-            runs = list(pool.map(_run_one, specs, chunksize=chunk))
+            group_runs = list(pool.map(_run_group, groups.values()))
     else:
-        runs = [run_injection(sim, checkpoints, monitors, s, tree) for s in specs]
+        group_runs = [run_group(sim, checkpoints, monitors, g, tree) for g in groups.values()]
+    outcome = {
+        spec: run for group, group_run in zip(groups.values(), group_runs)
+        for spec, run in zip(group, group_run)
+    }
+    runs = [outcome[spec] for spec in specs]
 
     # aggregation depends only on the spec list order, never completion order
     records = tuple(record for record, _ in runs)

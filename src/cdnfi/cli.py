@@ -232,6 +232,10 @@ def _cmd_campaign(args) -> int:
     if (mode is FaultKind.SET) != bool(args.tree):
         raise UsageError("set mode needs at least one --tree, and seu mode takes none")
     tree_paths = [_require_file(t, "clock tree") for t in args.tree]
+    # a campaign's label, which its file names carry, is its tree file's stem
+    labels = [p.stem for p in tree_paths]
+    if len(set(labels)) < len(labels):
+        raise UsageError(f"campaign labels {', '.join(labels)} are not distinct")
     input_files = [netlist_path, stimulus_path] + list(tree_paths)
 
     netlist = _load(load_netlist, netlist_path)
@@ -261,7 +265,7 @@ def _cmd_campaign(args) -> int:
     )
 
     # one campaign per tree in set mode, one treeless campaign in seu mode
-    runs = [(tree, path.stem) for path, tree in zip(tree_paths, trees)] or [(None, "seu")]
+    runs = list(zip(trees, labels)) or [(None, "seu")]
     results = [
         run_campaign(sim, stimulus, cfg, tree=tree, golden=golden, workers=args.workers, label=label)
         for tree, label in runs

@@ -65,6 +65,8 @@ class ClockTree:
     grouping: Grouping
 
     def __post_init__(self):
+        if type(self.stages) is not int or self.stages < 1:
+            raise ClockTreeError(f"clock tree 'stages' must be an integer >= 1, got {self.stages!r}")
         if not self.buffers:
             raise ClockTreeError("clock tree lists no buffers")
         by_id = {b.id: b for b in self.buffers}

@@ -7,8 +7,9 @@ its enable is on, or it has none, and its D differs from its Q. An upset
 flips one flip-flop. Neither writes anything: each reads at most the settled
 fault-free values of the cycle's checkpoint and returns an
 ``InjectionEffect``, the number of flip-flops reached and the names of those
-whose value flipped, which ``campaign.run_injection`` turns into the first
-difference from the fault-free run and the per-flip-flop tallies count.
+whose value flipped, which ``campaign.run_group`` turns into the first
+difference of the injection's lane from the fault-free run and the
+per-flip-flop tallies count.
 Both trust their target: before any injection runs, ``ClockTree`` has checked
 every cone and ``campaign.run_specs`` every target (``check_targets``).
 """

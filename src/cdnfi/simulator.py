@@ -7,14 +7,16 @@ after the edge. ``Simulator.run`` is the fault-free pass from reset, on one
 flat list of net values whose Q slots hold the flip-flop state: it records
 the golden trace and, on request, a ``Checkpoint`` of every cycle, the
 settled values before its edge and after it. Injections do not replay from
-reset. A faulty run is kept as its difference from the fault-free one:
-``Simulator.tick_diff`` takes the Q slots that differ at the fault point of
-a cycle (at the strike, those of the flip-flops the fault flips),
-re-evaluates only the gates and flip-flops those differences reach, against
-that cycle's checkpoint, and tells whether a monitored output is among them
-after the edge (``campaign.run_injection``). The netlist is checked once,
-when it is parsed, and the stimulus by ``run`` with ``validate_stimulus``
-before the loop.
+reset. The faulty runs that start at one cycle are simulated together, one
+bit lane each, as their difference from the fault-free one:
+``Simulator.tick_lanes`` takes the Q slots that differ in some lane at the
+fault point of a cycle (at the strike, those of the flip-flops each fault
+flips), re-evaluates only the gates and flip-flops those differences reach,
+on every lane at once, against that cycle's checkpoint, and tells in which
+lanes a monitored output differs after the edge and in which no flip-flop
+does (``campaign.run_group``). The netlist is checked once, when it is
+parsed, and the stimulus by ``run`` with ``validate_stimulus`` before the
+loop.
 
 The kernel compiles the netlist into a plan sorted by logic level, from the
 levels the netlist computed once for its cycle check, and then by opcode. A
@@ -116,8 +118,9 @@ class Simulator:
     ``_plan`` holds one ``(opcode, in0, in1, in2, out)`` entry of value-list
     slots per gate, sorted by logic level and then by opcode; ``_runs`` cuts
     it into maximal runs of one opcode for ``_settle``. A run may span
-    levels, since any level-sorted order is topological. ``tick_diff`` walks
-    the same plan by index, so its heap pops gates in topological order.
+    levels, since any level-sorted order is topological. ``tick_lanes``
+    walks the same plan by index, so its heap pops gates in topological
+    order.
     """
 
     def __init__(self, netlist: Netlist):
@@ -198,40 +201,56 @@ class Simulator:
         """The value-list slots of these nets, in order."""
         return [self._net_ids[net] for net in nets]
 
-    def tick_diff(
-        self, state: Mapping[int, int], checkpoint: Checkpoint, monitors: AbstractSet[int]
-    ) -> tuple[dict[int, int], bool]:
-        """One cycle of a faulty run, kept as its difference from the
-        fault-free cycle that ``checkpoint`` records.
+    def tick_lanes(
+        self, state: Mapping[int, int], checkpoint: Checkpoint, monitors: AbstractSet[int], live: int
+    ) -> tuple[dict[int, int], int, int]:
+        """One cycle of a group of faulty runs, one bit lane per run, each kept
+        as its difference from the fault-free cycle that ``checkpoint`` records.
 
-        ``state`` maps the Q slots that differ at the fault point, after the
-        inputs settle, to their faulty values. The differences are settled,
-        the edge fires and the differences settle again; only the gates and
-        flip-flops a difference reaches are evaluated. Returns the Q slots
-        that differ after the edge, the next cycle's ``state``, and whether
-        any of the ``monitors`` slots then differs from the fault-free run.
+        A slot's values in all lanes are one int, bit *i* holding lane *i*'s;
+        a slot outside the difference has its fault-free value in every
+        lane, ``-base[slot]``, which is 0 or -1 (every bit set). ``state``
+        maps the Q slots that differ in some lane at the fault point, after
+        the inputs settle, to their lane values, and ``live`` holds the
+        lanes still running. The
+        differences are settled, the edge fires and the differences settle
+        again; only the gates and flip-flops a difference reaches are
+        evaluated. Returns the Q slots that differ in a live lane after the
+        edge with their lane values, the next cycle's ``state``; the live
+        lanes in which a ``monitors`` slot then differs from the fault-free
+        run (failed); and the live lanes that neither failed nor are back on
+        the fault-free path, with no Q slot differing (still live).
         """
         settled, sampled = checkpoint
         diff = dict(state)
-        self._spread(settled, diff)
+        self._spread_lanes(settled, diff)
         pins = self._pin_list
         after = {}
+        held = 0
         for f in self._latchers.union(diff):
             q, d, en = pins[f]
-            if en < 0 or diff.get(en, settled[en]):
-                bit = diff.get(d, settled[d])
-            else:
-                bit = diff.get(q, settled[q])
-            if bit != sampled[q]:
-                after[q] = bit
+            bit = diff.get(d, -settled[d])
+            if en >= 0:
+                # the latch rule enable ? D : Q as a lane multiplexer
+                old = diff.get(q, -settled[q])
+                bit = old ^ ((old ^ bit) & diff.get(en, -settled[en]))
+            base = -sampled[q]
+            off = (bit ^ base) & live
+            if off:
+                after[q] = off ^ base
+                held |= off
         diff = dict(after)
-        self._spread(sampled, diff)
-        return after, not diff.keys().isdisjoint(monitors)
+        self._spread_lanes(sampled, diff)
+        failed = 0
+        for m in diff.keys() & monitors:
+            failed |= diff[m] ^ -sampled[m]
+        return after, failed, held & ~failed
 
-    def _spread(self, base: bytes, diff: dict[int, int]) -> None:
-        """Settle the differences ``diff`` from the settled values ``base``:
-        every gate that reads a differing slot is evaluated, in plan order,
-        and its output joins ``diff`` when it differs from ``base``."""
+    def _spread_lanes(self, base: bytes, diff: dict[int, int]) -> None:
+        """Settle the differences ``diff`` from the settled values ``base``,
+        in every lane at once: every gate that reads a differing slot is
+        evaluated, in plan order, and its output joins ``diff`` when it
+        differs from ``base`` in some lane."""
         plan = self._plan
         flat, ends = self._fanout.flat, self._fanout.ends
         queued = self._fanout.union(diff)
@@ -240,31 +259,31 @@ class Simulator:
         pop, push = heapq.heappop, heapq.heappush
         while pending:
             op, i0, i1, i2, out = plan[pop(pending)]
-            a = get(i0, base[i0])
-            b = get(i1, base[i1])
+            a = get(i0, -base[i0])
+            b = get(i1, -base[i1])
             if op == 0:
                 bit = a & b
             elif op == 1:
                 bit = a | b
             elif op == 2:
-                bit = a ^ 1
+                bit = ~a
             elif op == 3:
                 bit = a ^ b
             elif op == 4:
-                bit = (a & b) ^ 1
+                bit = ~(a & b)
             elif op == 5:
-                bit = (a | b) ^ 1
+                bit = ~(a | b)
             elif op == 6:
-                bit = a ^ b ^ 1
+                bit = ~(a ^ b)
             elif op == 7:
                 bit = a
             elif op == 8:
-                bit = b if get(i2, base[i2]) else a
+                bit = a ^ ((a ^ b) & get(i2, -base[i2]))
             elif op == 9:
                 bit = 0
             else:
-                bit = 1
-            if bit != base[out]:
+                bit = -1
+            if bit != -base[out]:
                 diff[out] = bit
                 for g in flat[ends[out]:ends[out + 1]]:
                     if g not in queued:

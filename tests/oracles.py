@@ -126,7 +126,7 @@ def fault_on_state(
     state: SimState,
     apply: Callable[[bytes], InjectionEffect],
 ) -> tuple[SimState, InjectionEffect]:
-    """Run ``apply`` on a settled state as ``campaign.run_injection`` does.
+    """Run ``apply`` on a settled state as ``campaign.run_group`` does.
 
     The state's nets become the settled values of a checkpoint, ``apply``
     names the flip-flops it flips, and the stepper settles the flipped
@@ -142,7 +142,7 @@ def fault_on_state(
 
 def fault_free_checkpoints(sim: Simulator, stimulus: Stimulus) -> list[Checkpoint]:
     """The checkpoint of every cycle of the fault-free pass, which
-    ``campaign.run_injection`` takes."""
+    ``campaign.run_group`` takes."""
     checkpoints: list[Checkpoint] = []
     sim.run(stimulus, checkpoints)
     return checkpoints

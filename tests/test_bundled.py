@@ -9,7 +9,7 @@ from cdnfi.bundled import (
     load_circuit_stimulus,
     load_manifest,
 )
-from cdnfi.campaign import Classification, run_injection
+from cdnfi.campaign import Classification, run_group
 from cdnfi.faults import FaultKind, FaultSpec
 from cdnfi.netlist import validate
 from cdnfi.report import load_fit_library
@@ -121,8 +121,8 @@ def test_deadend_probe_upsets_are_masked(lfsr, lfsr_stimulus):
     checkpoints = fault_free_checkpoints(sim, lfsr_stimulus)
     monitors = set(sim.slots(lfsr_stimulus.monitors))
     for cycle in (first, (first + last) // 2, last):
-        record, _ = run_injection(
-            sim, checkpoints, monitors, FaultSpec(FaultKind.SEU, "probe.tap", cycle),
+        [(record, _)] = run_group(
+            sim, checkpoints, monitors, [FaultSpec(FaultKind.SEU, "probe.tap", cycle)],
         )
         assert record.classification is Classification.MASKED
 
@@ -130,9 +130,9 @@ def test_deadend_probe_upsets_are_masked(lfsr, lfsr_stimulus):
 def test_lfsr_upsets_do_fail_somewhere(lfsr, lfsr_stimulus):
     first, _ = lfsr_stimulus.active_window
     sim = Simulator(lfsr)
-    record, _ = run_injection(
+    [(record, _)] = run_group(
         sim, fault_free_checkpoints(sim, lfsr_stimulus), set(sim.slots(lfsr_stimulus.monitors)),
-        FaultSpec(FaultKind.SEU, "lfsr.7", first),
+        [FaultSpec(FaultKind.SEU, "lfsr.7", first)],
     )
     assert record.classification is Classification.FUNCTIONAL_FAILURE
 

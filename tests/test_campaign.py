@@ -21,7 +21,7 @@ from cdnfi.campaign import (
     result_from_json,
     result_to_json,
     run_campaign,
-    run_injection,
+    run_group,
     run_specs,
     sample_times,
     tally_records,
@@ -134,8 +134,8 @@ def test_toggle_upset_fails_from_injection_cycle():
     sim = Simulator(n)
     assert sim.run(st).rows == ((1,), (0,), (1,), (0,))
     spec = FaultSpec(FaultKind.SEU, "t", 2)
-    record, changed = run_injection(
-        sim, fault_free_checkpoints(sim, st), set(sim.slots(st.monitors)), spec,
+    [(record, changed)] = run_group(
+        sim, fault_free_checkpoints(sim, st), set(sim.slots(st.monitors)), [spec],
     )
     assert record.classification is Classification.FUNCTIONAL_FAILURE
     assert (record.kind, record.target, record.cycle) == (FaultKind.SEU, "t", 2)
@@ -148,8 +148,8 @@ def test_deadend_upset_is_masked():
     st = Stimulus(4, tuple({"x": c % 2} for c in range(4)), (0, 3), ("y",))
     sim = Simulator(n)
     spec = FaultSpec(FaultKind.SEU, "dead", 1)
-    record, changed = run_injection(
-        sim, fault_free_checkpoints(sim, st), set(sim.slots(st.monitors)), spec,
+    [(record, changed)] = run_group(
+        sim, fault_free_checkpoints(sim, st), set(sim.slots(st.monitors)), [spec],
     )
     assert record.classification is Classification.MASKED
     assert changed == ("dead",)
@@ -161,8 +161,8 @@ def test_recirculating_transient_is_structurally_masked():
     st = autonomous_stimulus(n, 3)
     sim = Simulator(n)
     spec = FaultSpec(FaultKind.SET, "b", 1)
-    record, changed = run_injection(
-        sim, fault_free_checkpoints(sim, st), set(sim.slots(st.monitors)), spec, tree,
+    [(record, changed)] = run_group(
+        sim, fault_free_checkpoints(sim, st), set(sim.slots(st.monitors)), [spec], tree,
     )
     assert changed == ()
     assert (record.n_reached, record.n_changed) == (4, 0)
@@ -175,8 +175,8 @@ def test_toggle_transient_fails():
     st = autonomous_stimulus(n, 4)
     spec = FaultSpec(FaultKind.SET, "b", 1)
     sim = Simulator(n)
-    record, _ = run_injection(
-        sim, fault_free_checkpoints(sim, st), set(sim.slots(st.monitors)), spec, tree,
+    [(record, _)] = run_group(
+        sim, fault_free_checkpoints(sim, st), set(sim.slots(st.monitors)), [spec], tree,
     )
     assert record.classification is Classification.FUNCTIONAL_FAILURE
 
@@ -194,7 +194,7 @@ def test_injection_validations(monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("a campaign input must be checked before any injection or pool")
 
-    monkeypatch.setattr(campaign, "run_injection", must_not_run)
+    monkeypatch.setattr(campaign, "run_group", must_not_run)
     monkeypatch.setattr(campaign, "ProcessPoolExecutor", must_not_run)
     # a supplied golden trace that fits a stimulus the netlist cannot run
     unknown_monitor = Stimulus(4, st.input_vectors, st.active_window, ("nope",))
@@ -215,11 +215,12 @@ def test_injection_validations(monkeypatch):
                 run_specs(Simulator(n), stimulus, specs, tree=tree, golden=golden_arg, workers=workers)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 @given(seed=hst.integers(min_value=0, max_value=10_000), kind=hst.sampled_from(list(FaultKind)))
-def test_run_injection_matches_full_replay(seed, kind):
-    # the one cycle loop with a mid-cycle fault hook against the reference
-    # stepper's reset/settle/fault/step_cycle replay, on random circuits and specs
+def test_run_group_matches_full_replay(seed, kind):
+    # groups of injections at one cycle, one lane each, against the
+    # reference stepper's reset/settle/fault/step_cycle replay of each, on
+    # random circuits and specs; a one-lane group is a single injection
     rng = random.Random(seed)
     n = random_netlist(rng)
     st = random_monitors(rng, n, random_stimulus(rng, n))
@@ -229,10 +230,11 @@ def test_run_injection_matches_full_replay(seed, kind):
     monitors = set(sim.slots(st.monitors))
     tree = generate_tree(n.ff_names(), rng.randint(1, 3), RandomShuffle(seed))
     targets = tree.buffer_ids() if kind is FaultKind.SET else n.ff_names()
-    for _ in range(4):
-        spec = FaultSpec(kind, rng.choice(targets), rng.randrange(st.n_cycles))
-        fast = run_injection(sim, checkpoints, monitors, spec, tree)
-        assert fast == replay_injection(Stepper(n), st, golden, spec, tree)
+    for width in (1, rng.randint(1, len(targets))):
+        cycle = rng.randrange(st.n_cycles)
+        specs = [FaultSpec(kind, t, cycle) for t in rng.sample(targets, width)]
+        fast = run_group(sim, checkpoints, monitors, specs, tree)
+        assert fast == [replay_injection(Stepper(n), st, golden, spec, tree) for spec in specs]
 
 
 @pytest.mark.parametrize("build, target, classification, cycles", [
@@ -249,18 +251,34 @@ def test_injection_stop_paths(monkeypatch, build, target, classification, cycles
     sim = Simulator(n)
     checkpoints = fault_free_checkpoints(sim, st)
     ticks = []
-    tick = sim.tick_diff
+    tick = sim.tick_lanes
 
     def counted(*args):
         ticks.append(args)
         return tick(*args)
 
-    monkeypatch.setattr(sim, "tick_diff", counted)
+    monkeypatch.setattr(sim, "tick_lanes", counted)
     monitors = set(sim.slots(st.monitors))
-    record, changed = run_injection(sim, checkpoints, monitors, FaultSpec(FaultKind.SEU, target, 1))
+    [(record, changed)] = run_group(sim, checkpoints, monitors, [FaultSpec(FaultKind.SEU, target, 1)])
     assert record.classification is classification
     assert changed == (target,)
     assert len(ticks) == cycles
+
+
+def with_stop_paths(netlist, copies):
+    """The netlist plus ``copies`` flip-flops of each way an upset stops: a
+    toggler its own output shows (mismatch at the first edge), one the
+    first edge reloads from an input (reconverged) and one that keeps its
+    flipped value unseen (masked at the end of the stimulus)."""
+    x = netlist.inputs[0]
+    gates, ffs, outputs = list(netlist.gates), list(netlist.flipflops), list(netlist.outputs)
+    for i in range(copies):
+        gates.append(Gate(f"tog{i}", "NOT", (f"t{i}_q",), f"t{i}_d"))
+        ffs += [FlipFlop(f"t.{i}", f"t{i}_d", f"t{i}_q", None, 0),
+                FlipFlop(f"r.{i}", x, f"r{i}_q", None, 0),
+                FlipFlop(f"h.{i}", f"h{i}_q", f"h{i}_q", None, 1)]
+        outputs.append(f"t{i}_q")
+    return Netlist.build(netlist.name, netlist.inputs, outputs, gates, ffs)
 
 
 def stepper_golden(ref, stimulus):
@@ -273,18 +291,34 @@ def stepper_golden(ref, stimulus):
     return GoldenTrace(stimulus.monitors, tuple(rows))
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=hst.integers(min_value=0, max_value=10_000), kind=hst.sampled_from(list(FaultKind)))
-def test_run_specs_matches_full_replay(seed, kind):
-    # whole campaigns, checkpointed and stopped early, against the reference
-    # stepper's full replay from reset, with the first and last cycles injected
+# a fifth of the profile's examples: each starts a worker pool, and a wide
+# one replays a few hundred injections from reset
+@settings(deadline=None, max_examples=settings.default.max_examples // 5)
+@given(seed=hst.integers(min_value=0, max_value=10_000), kind=hst.sampled_from(list(FaultKind)),
+       wide=hst.booleans())
+def test_run_specs_matches_full_replay(seed, kind, wide):
+    # whole campaigns, checkpointed, stopped early, deduplicated and run in
+    # lane groups, against the reference stepper's full replay from reset of
+    # every listed injection, with the first and last cycles injected and
+    # some injections listed more than once; a wide campaign also injects
+    # every target at one cycle, a group of more than 64 lanes that fail,
+    # reconverge and reach the end of the stimulus side by side
     rng = random.Random(seed)
     n = random_netlist(rng)
     st = random_monitors(rng, n, random_stimulus(rng, n))
-    tree = generate_tree(n.ff_names(), rng.randint(1, 3), RandomShuffle(seed))
+    if wide:
+        n = with_stop_paths(n, 25)
+        st = replace(st, monitors=st.monitors + tuple(f"t{i}_q" for i in range(25)))
+    tree = generate_tree(n.ff_names(), 1 if wide else rng.randint(1, 3), RandomShuffle(seed))
     targets = tree.buffer_ids() if kind is FaultKind.SET else n.ff_names()
     cycles = [0, st.n_cycles - 1] + [rng.randrange(st.n_cycles) for _ in range(6)]
     specs = [FaultSpec(kind, rng.choice(targets), c) for c in cycles]
+    if wide:
+        cycle = rng.randrange(st.n_cycles)
+        specs += [FaultSpec(kind, t, cycle) for t in targets]
+        assert len(targets) > 64
+    specs += rng.choices(specs, k=len(specs) // 2)
+    rng.shuffle(specs)
     ref = Stepper(n)
     golden = stepper_golden(ref, st)
     replays = [replay_injection(ref, st, golden, spec, tree) for spec in specs]
@@ -300,10 +334,15 @@ def test_run_specs_matches_full_replay(seed, kind):
         assert result.records == tuple(record for record, _ in replays)
         assert result.per_ff == per_ff
         assert result.golden == golden
+    if wide and kind is FaultKind.SEU:
+        outcomes = {(r.target[0], r.classification) for r in result.records if r.cycle == cycle}
+        assert {("t", Classification.FUNCTIONAL_FAILURE), ("r", Classification.MASKED),
+                ("h", Classification.MASKED)} <= outcomes
 
 
-def test_pool_never_starts_more_workers_than_injections(lfsr, lfsr_stimulus, monkeypatch):
+def test_pool_never_starts_more_workers_than_injections(crc8, crc8_stimulus, monkeypatch):
     sizes = []
+    tasks = []
 
     class SerialPool:
         def __init__(self, max_workers, initializer, initargs):
@@ -317,23 +356,35 @@ def test_pool_never_starts_more_workers_than_injections(lfsr, lfsr_stimulus, mon
             return False
 
         def map(self, fn, items, chunksize=1):
+            items = list(items)
+            tasks.append(items)
             return map(fn, items)
 
     monkeypatch.setattr(campaign, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(campaign, "_worker_ctx", {})
-    specs = [FaultSpec(FaultKind.SEU, "lfsr.0", 5), FaultSpec(FaultKind.SEU, "lfsr.1", 9)]
-    serial = run_specs(Simulator(lfsr), lfsr_stimulus, specs)
-    # too few injections per worker for a pool to pay for itself
-    assert run_specs(Simulator(lfsr), lfsr_stimulus, specs, workers=2) == serial
-    many = specs * campaign.POOL_MIN_PER_WORKER
-    run_specs(Simulator(lfsr), lfsr_stimulus, many, workers=64)
+    ffs = crc8.ff_names()
+    specs = [FaultSpec(FaultKind.SEU, ffs[0], 15), FaultSpec(FaultKind.SEU, ffs[1], 19)]
+    serial = run_specs(Simulator(crc8), crc8_stimulus, specs)
+    # too few distinct injections per worker for a pool to pay for itself,
+    # however often they are listed
+    assert run_specs(Simulator(crc8), crc8_stimulus, specs * 1024, workers=2).records == serial.records * 1024
+    assert sizes == []
+    distinct = [FaultSpec(FaultKind.SEU, ff, c) for c in range(crc8_stimulus.n_cycles) for ff in ffs]
+    many = distinct[:2 * campaign.POOL_MIN_PER_WORKER]
+    pooled = run_specs(Simulator(crc8), crc8_stimulus, many, workers=64)
     assert sizes == [2]
+    assert pooled == run_specs(Simulator(crc8), crc8_stimulus, many)
+    # a task is the whole group of one cycle's distinct injections
+    [groups] = tasks
+    assert [g for group in groups for g in group] == many
+    assert len({s.cycle for group in groups for s in group}) == len(groups)
+    assert all(len({s.cycle for s in group}) == 1 for group in groups)
     monkeypatch.setattr(campaign, "POOL_MIN_PER_WORKER", 1)
     sizes.clear()
-    assert run_specs(Simulator(lfsr), lfsr_stimulus, specs, workers=64) == serial
+    assert run_specs(Simulator(crc8), crc8_stimulus, specs, workers=64) == serial
     assert sizes == [2]
     # a single injection runs in this process
-    run_specs(Simulator(lfsr), lfsr_stimulus, specs[:1], workers=64)
+    run_specs(Simulator(crc8), crc8_stimulus, specs[:1], workers=64)
     assert sizes == [2]
 
 
@@ -446,7 +497,7 @@ def test_run_specs_rejects_cone_outside_netlist(lfsr, lfsr_stimulus, lfsr_golden
     def must_not_run(*args, **kwargs):
         raise AssertionError("the cone check must come before any injection or pool")
 
-    monkeypatch.setattr(campaign, "run_injection", must_not_run)
+    monkeypatch.setattr(campaign, "run_group", must_not_run)
     monkeypatch.setattr(campaign, "ProcessPoolExecutor", must_not_run)
     for workers in (1, 2):
         with pytest.raises(CampaignError, match="cone of buffer 'b'.*'lfsr_counter'.*'x0'"):
@@ -468,7 +519,7 @@ def test_run_specs_rejects_unknown_target(lfsr, lfsr_stimulus, lfsr_golden, monk
     def must_not_run(*args, **kwargs):
         raise AssertionError("the target check must come before any injection or pool")
 
-    monkeypatch.setattr(campaign, "run_injection", must_not_run)
+    monkeypatch.setattr(campaign, "run_group", must_not_run)
     monkeypatch.setattr(campaign, "ProcessPoolExecutor", must_not_run)
     for workers in (1, 2):
         with pytest.raises(CampaignError, match=re.escape(message)):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import cdnfi
-from cdnfi import __version__, campaign
+from cdnfi import __version__, campaign, cli
 from cdnfi import netlist as netlist_module
 from cdnfi.bundled import circuit_path, fit_library_path, golden_path, stimulus_path
 from cdnfi.cli import main
@@ -486,6 +486,26 @@ def test_nothing_is_written_when_the_report_cannot_be_made(tmp_path, capsys, com
     assert not out_dir.exists()
 
 
+def test_label_clash_is_found_before_any_campaign(tmp_path, capsys, monkeypatch):
+    net = circuit_path("lfsr_counter")
+    trees = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        save_tree(generate_tree(load_netlist(net).ff_names(), 3), tmp_path / sub / "cdn.json")
+        trees += ["--tree", str(tmp_path / sub / "cdn.json")]
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a label clash must be found before the golden run")
+
+    monkeypatch.setattr(cli, "run_campaign", must_not_run)
+    out_dir = tmp_path / "out"
+    rc = main(["campaign", str(net), str(stimulus_path("lfsr_counter")), "--mode", "set", *trees,
+               "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == ["error: campaign labels cdn, cdn are not distinct"]
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("option, text, message", [
     ("--fit-library", "cell_class,fit\nflipflop,abc\n", "'flipflop', 'abc'"),
     ("--golden", "q\n2\n", "non-binary"),
@@ -800,8 +820,8 @@ MALFORMED = [
      "buffer 'b0' is not one stage below a listed parent 'ghost'"),
     ("tree", toggle_tree({**TOGGLE_CHILD, "stage": "two"}), "buffer 'b0' is not one stage below"),
     ("tree", toggle_tree({**TOGGLE_CHILD, "stage": 2.5}), "is not one stage below a listed parent 'b'"),
-    ("tree", toggle_tree(TOGGLE_CHILD, stages="many"), "malformed clock tree document"),
-    ("tree", toggle_tree(stages=0), "do not fill stages 1 to 0"),
+    ("tree", toggle_tree(TOGGLE_CHILD, stages="many"), "clock tree 'stages' must be an integer >= 1, got 'many'"),
+    ("tree", toggle_tree(stages=0), "clock tree 'stages' must be an integer >= 1, got 0"),
     ("tree", toggle_tree(stages=2), "do not fill stages 1 to 2"),
 ]
 

@@ -215,10 +215,13 @@ def two_stage(*buffers, stages=2):
     (lambda: two_stage(ClockBuffer("b0", 3, "b", ("x", "y")), stages=3), "is not one stage below a listed parent"),
     (lambda: two_stage(stages=2), "do not fill stages 1 to 2"),
     (lambda: two_stage(ClockBuffer("b0", 2, "b", ("x", "y")), stages=1), "do not fill stages 1 to 1"),
-    (lambda: two_stage(stages=0), "do not fill stages 1 to 0"),
+    (lambda: two_stage(stages=0), "'stages' must be an integer >= 1, got 0"),
+    (lambda: two_stage(ClockBuffer("b0", 2, "b", ("x", "y")), stages=True),
+     "'stages' must be an integer >= 1, got True"),
 ], ids=["empty", "cone-names-twice", "duplicate-ids", "root-below-stage-1", "siblings-overlap",
         "stage-drops-a-flip-flop", "child-outside-parent", "unknown-parent", "second-root",
-        "skips-a-stage", "leaf-above-last-stage", "children-below-last-stage", "zero-stages"])
+        "skips-a-stage", "leaf-above-last-stage", "children-below-last-stage", "zero-stages",
+        "boolean-stages"])
 def test_tree_rule_is_enforced_on_construction(build, message):
     with pytest.raises(ClockTreeError, match=re.escape(message)):
         build()
