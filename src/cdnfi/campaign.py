@@ -4,18 +4,19 @@
 that every target can be injected), then makes the campaign's one fault-free
 pass, which gives the golden trace and a checkpoint of the net values of
 every cycle; a supplied golden trace must equal that pass. An injection is a
-function of its spec (kind, target, cycle), so each distinct spec is
-simulated once and every copy in the list takes its result. Injections do
-not replay from reset. The distinct specs of one cycle run as one group
-from that cycle's checkpoint on the campaign's compiled kernel, one bit lane
-each (``run_group``). Each fault strikes mid-cycle (after the combinational
-settle, before the edge) and names the flip-flops it flips there, which are
-its lane's first difference from the fault-free run; from then on only what
-differs in some lane is simulated. A lane is a functional failure, and
-drops out, at the first edge after which a monitored output differs from
-that run. It drops out as masked once its flip-flop state after an edge is
-back on the fault-free path, since the rest of the run then depends only on
-that state and the inputs, or at the end of the stimulus.
+function of its spec (kind, target, cycle), so each distinct spec strikes
+once, in ``run_specs``, and every copy in the list takes its result.
+Injections do not replay from reset. A fault strikes mid-cycle (after the
+combinational settle, before the edge): ``apply_set`` or ``apply_seu`` names
+the flip-flops it flips in that cycle's checkpoint, and their flipped Q
+values are the first difference of its bit lane, one per distinct spec of
+the cycle, from the fault-free run. ``run_group``, all a pool worker runs,
+takes a group's (cycle, state, lanes), simulates only what differs in some
+lane and returns the mask of the lanes that failed. A lane is a functional
+failure, and drops out, at the first edge after which a monitored output
+differs from that run. It drops out as masked once its flip-flop state after
+an edge is back on the fault-free path, since the rest of the run then
+depends only on that state and the inputs, or at the end of the stimulus.
 Injection times are drawn uniformly (with replacement) from the stimulus
 active window by a seeded generator, so a campaign is a pure function of its
 inputs and seed. A result holds one ``InjectionRecord`` per listed injection
@@ -33,10 +34,10 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import AbstractSet, Collection, Iterable, Optional, Sequence
+from typing import AbstractSet, Collection, Iterable, Mapping, Optional, Sequence
 
 from .clocktree import ClockTree
-from .faults import FaultKind, FaultSpec, apply_set, apply_seu
+from .faults import FaultKind, FaultSpec, InjectionEffect, apply_set, apply_seu
 from .netlist import Netlist
 from .seeding import derive_rng
 from .simulator import Checkpoint, GoldenTrace, Simulator, Stimulus
@@ -162,83 +163,57 @@ def run_group(
     sim: Simulator,
     checkpoints: Sequence[Checkpoint],
     monitors: AbstractSet[int],
-    specs: Sequence[FaultSpec],
-    tree: Optional[ClockTree] = None,
-) -> list[tuple[InjectionRecord, tuple[str, ...]]]:
-    """Run injections that share one cycle from its checkpoint, one bit lane
-    per spec, in one pass.
+    cycle: int,
+    state: Mapping[int, int],
+    lanes: int,
+) -> int:
+    """Run ``lanes`` injections struck at one cycle from its checkpoint, one
+    bit lane each, in one pass, and return the mask of the lanes that failed.
 
     ``checkpoints`` are those ``Simulator.run`` records for a stimulus and
-    ``monitors`` the slots of its monitors. Each fault names the flip-flops
-    it flips in the cycle's checkpoint, and sets its lane's bit in their Q
-    slots; from then on the group is kept as the flip-flops and nets that
-    differ from the fault-free run in some lane (``Simulator.tick_lanes``).
-    A lane in which a monitored output differs after an edge is a
+    ``monitors`` the slots of its monitors. ``state`` holds the Q slots the
+    strikes flipped at the cycle's fault point with their lane values, as
+    ``Simulator.tick_lanes`` takes it; from then on the group is kept as
+    the flip-flops and nets that differ from the fault-free run in some
+    lane. A lane in which a monitored output differs after an edge is a
     functional failure; one with no flip-flop differing after an edge is
     masked, and so is every lane still running at the last checkpoint.
     Either way the lane drops out, and the group stops when none is left.
     Each lane's result equals a full replay of its injection from reset
     compared with the fault-free trace.
-
-    Returns, per spec, its record and the flip-flops its fault changed. It
-    trusts its inputs, which ``run_specs`` checks once per campaign.
     """
-    cycle = specs[0].cycle
-    settled = checkpoints[cycle].settled
-    effects = []
-    state: dict[int, int] = {}
-    lane = 1
-    for spec in specs:
-        if spec.kind is FaultKind.SET:
-            effect = apply_set(sim, tree, settled, spec.target)
-        else:
-            effect = apply_seu(spec.target)
-        for name in effect.changed:
-            q = sim.pins[name][0]
-            state[q] = state.get(q, -settled[q]) ^ lane
-        effects.append(effect)
-        lane <<= 1
-    live = lane - 1
+    live = (1 << lanes) - 1
     failed = 0
     for c in range(cycle, len(checkpoints)):
         state, fail, live = sim.tick_lanes(state, checkpoints[c], monitors, live)
         failed |= fail
         if not live:
             break
-    runs = []
-    for spec, effect in zip(specs, effects):
-        classification = Classification.FUNCTIONAL_FAILURE if failed & 1 else Classification.MASKED
-        record = InjectionRecord(spec.kind, spec.target, spec.cycle, effect.reached,
-                                 len(effect.changed), classification)
-        runs.append((record, effect.changed))
-        failed >>= 1
-    return runs
+    return failed
 
 
 # ---------------------------------------------------------------------------
 # campaign driving
 
-# a pool worker costs a fork and a copy-on-write share of the kernel; with
-# fewer injections than this per worker, a two-worker pool took at least as
-# long as the serial loop on both the bundled and the synthetic circuits
-# (measured one injection per task); the count is of distinct injections,
-# since only those are simulated
+# a pool costs a fork per worker and pickles each task, a cycle group's
+# struck Q slots with their lane values; below this many distinct injections
+# per worker it does not pay: on two cores, two workers at 512 each took 0.7
+# to 1.8 times the serial time on crc8 and on the 1233-flip-flop synthetic
+# circuit (at 1024 each, 0.6 to 1.3 times)
 POOL_MIN_PER_WORKER = 512
 
-# per-worker context for process pools, set once by the initializer so
-# injection groups are the only payload crossing process boundaries per
-# task; the compiled kernel is an initializer argument, so under fork the
-# workers inherit it
+# per-worker context for process pools, set once by the initializer (under
+# fork the workers inherit the compiled kernel), so a task is only a group's
+# (cycle, state, lanes) and its result the group's failure mask
 _worker_ctx: dict = {}
 
 
-def _init_worker(sim, checkpoints, monitors, tree):
-    _worker_ctx["args"] = (sim, checkpoints, monitors, tree)
+def _init_worker(sim, checkpoints, monitors):
+    _worker_ctx["args"] = (sim, checkpoints, monitors)
 
 
-def _run_group(specs: list[FaultSpec]) -> list[tuple[InjectionRecord, tuple[str, ...]]]:
-    sim, checkpoints, monitors, tree = _worker_ctx["args"]
-    return run_group(sim, checkpoints, monitors, specs, tree)
+def _run_group(task: tuple[int, dict[int, int], int]) -> int:
+    return run_group(*_worker_ctx["args"], *task)
 
 
 def resolve_targets(
@@ -318,8 +293,10 @@ def run_specs(
     stimulus's monitors and cycle count and equals the fault-free pass. That
     pass, the campaign's only one, runs after the first three checks and
     gives the golden trace, which the result carries, and the checkpoints the
-    injections start from. The result carries no config (``seed`` and the
-    like are ``None``); ``run_campaign`` fills it in.
+    injections start from. Records and tallies come from each distinct
+    spec's effect and its lane of its group's failure mask. The result
+    carries no config (``seed`` and the like are ``None``); ``run_campaign``
+    fills it in.
     """
     netlist = sim.netlist
     kinds = {s.kind for s in specs}
@@ -342,26 +319,44 @@ def run_specs(
             if row != want:
                 raise CampaignError(f"golden trace differs from the simulated run at cycle {cycle}")
 
-    # an injection is a function of its spec, so each distinct spec runs
-    # once, in the group of its cycle
-    distinct = dict.fromkeys(specs)
+    # an injection is a function of its spec, so each distinct spec strikes
+    # once, here, and is one bit lane of the group of its cycle
     groups: dict[int, list[FaultSpec]] = {}
-    for spec in distinct:
+    for spec in dict.fromkeys(specs):
         groups.setdefault(spec.cycle, []).append(spec)
+    effects: dict[FaultSpec, InjectionEffect] = {}
+    tasks = []
+    for cycle, group in groups.items():
+        settled = checkpoints[cycle].settled
+        state: dict[int, int] = {}
+        for lane, spec in enumerate(group):
+            if spec.kind is FaultKind.SET:
+                effect = apply_set(sim, tree, settled, spec.target)
+            else:
+                effect = apply_seu(spec.target)
+            for name in effect.changed:
+                q = sim.pins[name][0]
+                state[q] = state.get(q, -settled[q]) ^ (1 << lane)
+            effects[spec] = effect
+        tasks.append((cycle, state, len(group)))
     monitors = set(sim.slots(stimulus.monitors))
-    n_workers = min(workers, len(distinct) // POOL_MIN_PER_WORKER)
+    n_workers = min(workers, len(effects) // POOL_MIN_PER_WORKER, len(tasks))
     if n_workers > 1:
         with ProcessPoolExecutor(
             max_workers=n_workers,
             initializer=_init_worker,
-            initargs=(sim, checkpoints, monitors, tree),
+            initargs=(sim, checkpoints, monitors),
         ) as pool:
-            group_runs = list(pool.map(_run_group, groups.values()))
+            masks = list(pool.map(_run_group, tasks))
     else:
-        group_runs = [run_group(sim, checkpoints, monitors, g, tree) for g in groups.values()]
+        masks = [run_group(sim, checkpoints, monitors, *task) for task in tasks]
+    failed = {spec for group, mask in zip(groups.values(), masks)
+              for lane, spec in enumerate(group) if mask >> lane & 1}
     outcome = {
-        spec: run for group, group_run in zip(groups.values(), group_runs)
-        for spec, run in zip(group, group_run)
+        spec: (InjectionRecord(spec.kind, spec.target, spec.cycle, effect.reached, len(effect.changed),
+                               Classification.FUNCTIONAL_FAILURE if spec in failed else Classification.MASKED),
+               effect.changed)
+        for spec, effect in effects.items()
     }
     runs = [outcome[spec] for spec in specs]
 

@@ -10,13 +10,14 @@ settled values before its edge and after it. Injections do not replay from
 reset. The faulty runs that start at one cycle are simulated together, one
 bit lane each, as their difference from the fault-free one:
 ``Simulator.tick_lanes`` takes the Q slots that differ in some lane at the
-fault point of a cycle (at the strike, those of the flip-flops each fault
-flips), re-evaluates only the gates and flip-flops those differences reach,
-on every lane at once, against that cycle's checkpoint, and tells in which
-lanes a monitored output differs after the edge and in which no flip-flop
-does (``campaign.run_group``). The netlist is checked once, when it is
-parsed, and the stimulus by ``run`` with ``validate_stimulus`` before the
-loop.
+fault point of a cycle (at the strike, which ``campaign.run_specs`` makes,
+those of the flip-flops each fault flips), re-evaluates only the gates and
+flip-flops those differences reach, on every lane at once, against that
+cycle's checkpoint, and tells in which lanes a monitored output differs
+after the edge and in which no flip-flop does; ``campaign.run_group``, all a
+pool worker runs, loops it into one failure mask. The netlist is checked
+once, when it is parsed, and the stimulus by ``run`` with
+``validate_stimulus`` before the loop.
 
 The kernel compiles the netlist into a plan sorted by logic level, from the
 levels the netlist computed once for its cycle check, and then by opcode. A

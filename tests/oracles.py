@@ -11,9 +11,7 @@ and a fault there cannot pass on both sides.
 and ``replay_injection`` the full step-by-step replay an injection is defined
 by; both run on the stepper and share no code with ``cdnfi.faults``.
 ``fault_on_state`` runs a production fault function on a settled
-``SimState``, so its result can be compared with theirs, and
-``fault_free_checkpoints`` gives the checkpoints a production injection
-starts from.
+``SimState``, so its result can be compared with theirs.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from cdnfi.campaign import Classification, InjectionRecord
 from cdnfi.clocktree import ClockTree
 from cdnfi.faults import FaultKind, FaultSpec, InjectionEffect
 from cdnfi.netlist import FlipFlop, Gate, Netlist
-from cdnfi.simulator import Checkpoint, GoldenTrace, Simulator, Stimulus
+from cdnfi.simulator import GoldenTrace, Simulator, Stimulus
 
 _GATES = {
     "AND": lambda a, b: a & b,
@@ -126,7 +124,7 @@ def fault_on_state(
     state: SimState,
     apply: Callable[[bytes], InjectionEffect],
 ) -> tuple[SimState, InjectionEffect]:
-    """Run ``apply`` on a settled state as ``campaign.run_group`` does.
+    """Run ``apply`` on a settled state as ``campaign.run_specs`` does.
 
     The state's nets become the settled values of a checkpoint, ``apply``
     names the flip-flops it flips, and the stepper settles the flipped
@@ -138,14 +136,6 @@ def fault_on_state(
         ff_values[name] ^= 1
     settled = ref.settle(SimState(state.cycle, ff_values, {}), _inputs(ref.netlist, state))
     return settled, effect
-
-
-def fault_free_checkpoints(sim: Simulator, stimulus: Stimulus) -> list[Checkpoint]:
-    """The checkpoint of every cycle of the fault-free pass, which
-    ``campaign.run_group`` takes."""
-    checkpoints: list[Checkpoint] = []
-    sim.run(stimulus, checkpoints)
-    return checkpoints
 
 
 def explicit_pulse_oracle(

@@ -9,14 +9,12 @@ from cdnfi.bundled import (
     load_circuit_stimulus,
     load_manifest,
 )
-from cdnfi.campaign import Classification, run_group
+from cdnfi.campaign import Classification, FFTally, run_specs
 from cdnfi.faults import FaultKind, FaultSpec
 from cdnfi.netlist import validate
 from cdnfi.report import load_fit_library
 from cdnfi.simulator import Simulator
 from fractions import Fraction
-
-from oracles import fault_free_checkpoints
 
 
 def crc8_table():
@@ -117,24 +115,22 @@ def test_match_monitor_holds_in_fault_free_run(crc8_stimulus, crc8_golden):
 
 def test_deadend_probe_upsets_are_masked(lfsr, lfsr_stimulus):
     first, last = lfsr_stimulus.active_window
-    sim = Simulator(lfsr)
-    checkpoints = fault_free_checkpoints(sim, lfsr_stimulus)
-    monitors = set(sim.slots(lfsr_stimulus.monitors))
-    for cycle in (first, (first + last) // 2, last):
-        [(record, _)] = run_group(
-            sim, checkpoints, monitors, [FaultSpec(FaultKind.SEU, "probe.tap", cycle)],
-        )
+    cycles = (first, (first + last) // 2, last)
+    specs = [FaultSpec(FaultKind.SEU, "probe.tap", cycle) for cycle in cycles]
+    result = run_specs(Simulator(lfsr), lfsr_stimulus, specs)
+    for record in result.records:
         assert record.classification is Classification.MASKED
+        assert (record.n_reached, record.n_changed) == (1, 1)
+    assert result.per_ff["probe.tap"] == FFTally(0, 0, 3, 0)
 
 
 def test_lfsr_upsets_do_fail_somewhere(lfsr, lfsr_stimulus):
     first, _ = lfsr_stimulus.active_window
-    sim = Simulator(lfsr)
-    [(record, _)] = run_group(
-        sim, fault_free_checkpoints(sim, lfsr_stimulus), set(sim.slots(lfsr_stimulus.monitors)),
-        [FaultSpec(FaultKind.SEU, "lfsr.7", first)],
-    )
+    result = run_specs(Simulator(lfsr), lfsr_stimulus, [FaultSpec(FaultKind.SEU, "lfsr.7", first)])
+    [record] = result.records
     assert record.classification is Classification.FUNCTIONAL_FAILURE
+    assert (record.n_reached, record.n_changed) == (1, 1)
+    assert result.per_ff["lfsr.7"] == FFTally(0, 0, 1, 1)
 
 
 def test_fit_library_ships_reference_values():

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -31,7 +32,7 @@ from cdnfi.faults import FaultKind, FaultSpec
 from cdnfi.netlist import FlipFlop, Gate, Netlist
 from cdnfi.simulator import GoldenTrace, Simulator, Stimulus, StimulusError
 from gencircuit import random_netlist, random_stimulus
-from oracles import Stepper, fault_free_checkpoints, replay_injection
+from oracles import Stepper, replay_injection
 from test_netlist import toggle
 
 
@@ -134,39 +135,37 @@ def test_toggle_upset_fails_from_injection_cycle():
     sim = Simulator(n)
     assert sim.run(st).rows == ((1,), (0,), (1,), (0,))
     spec = FaultSpec(FaultKind.SEU, "t", 2)
-    [(record, changed)] = run_group(
-        sim, fault_free_checkpoints(sim, st), set(sim.slots(st.monitors)), [spec],
-    )
+    result = run_specs(sim, st, [spec])
+    [record] = result.records
     assert record.classification is Classification.FUNCTIONAL_FAILURE
     assert (record.kind, record.target, record.cycle) == (FaultKind.SEU, "t", 2)
     assert (record.n_reached, record.n_changed) == (1, 1)
-    assert changed == ("t",)
+    # the upset changed "t", and that injection failed
+    assert result.per_ff == {"t": FFTally(0, 0, 1, 1)}
 
 
 def test_deadend_upset_is_masked():
     n = deadend()
     st = Stimulus(4, tuple({"x": c % 2} for c in range(4)), (0, 3), ("y",))
-    sim = Simulator(n)
     spec = FaultSpec(FaultKind.SEU, "dead", 1)
-    [(record, changed)] = run_group(
-        sim, fault_free_checkpoints(sim, st), set(sim.slots(st.monitors)), [spec],
-    )
+    result = run_specs(Simulator(n), st, [spec])
+    [record] = result.records
     assert record.classification is Classification.MASKED
-    assert changed == ("dead",)
+    assert (record.n_reached, record.n_changed) == (1, 1)
+    assert result.per_ff == {"dead": FFTally(0, 0, 1, 0)}
 
 
 def test_recirculating_transient_is_structurally_masked():
     n = recirculating()
     tree = generate_tree(n.ff_names(), 2)
     st = autonomous_stimulus(n, 3)
-    sim = Simulator(n)
     spec = FaultSpec(FaultKind.SET, "b", 1)
-    [(record, changed)] = run_group(
-        sim, fault_free_checkpoints(sim, st), set(sim.slots(st.monitors)), [spec], tree,
-    )
-    assert changed == ()
+    result = run_specs(Simulator(n), st, [spec], tree=tree)
+    [record] = result.records
     assert (record.n_reached, record.n_changed) == (4, 0)
     assert record.classification is Classification.MASKED
+    # the pulse changed no flip-flop
+    assert result.per_ff == {name: FFTally() for name in n.ff_names()}
 
 
 def test_toggle_transient_fails():
@@ -174,11 +173,11 @@ def test_toggle_transient_fails():
     tree = generate_tree(n.ff_names(), 1)
     st = autonomous_stimulus(n, 4)
     spec = FaultSpec(FaultKind.SET, "b", 1)
-    sim = Simulator(n)
-    [(record, _)] = run_group(
-        sim, fault_free_checkpoints(sim, st), set(sim.slots(st.monitors)), [spec], tree,
-    )
+    result = run_specs(Simulator(n), st, [spec], tree=tree)
+    [record] = result.records
     assert record.classification is Classification.FUNCTIONAL_FAILURE
+    assert (record.n_reached, record.n_changed) == (1, 1)
+    assert result.per_ff == {"t": FFTally(1, 1, 0, 0)}
 
 
 def test_injection_validations(monkeypatch):
@@ -233,8 +232,19 @@ def test_run_group_matches_full_replay(seed, kind):
     for width in (1, rng.randint(1, len(targets))):
         cycle = rng.randrange(st.n_cycles)
         specs = [FaultSpec(kind, t, cycle) for t in rng.sample(targets, width)]
-        fast = run_group(sim, checkpoints, monitors, specs, tree)
-        assert fast == [replay_injection(Stepper(n), st, golden, spec, tree) for spec in specs]
+        replays = [replay_injection(Stepper(n), st, golden, spec, tree) for spec in specs]
+        # each lane starts from the flip-flops the oracle's fault flipped
+        settled = checkpoints[cycle].settled
+        state = {}
+        for lane, (_, changed) in enumerate(replays):
+            for name in changed:
+                q = sim.pins[name][0]
+                state[q] = state.get(q, -settled[q]) ^ (1 << lane)
+        failed = run_group(sim, checkpoints, monitors, cycle, state, width)
+        assert failed >> width == 0
+        assert [bool(failed >> lane & 1) for lane in range(width)] == [
+            record.classification is Classification.FUNCTIONAL_FAILURE for record, _ in replays
+        ]
 
 
 @pytest.mark.parametrize("build, target, classification, cycles", [
@@ -249,7 +259,6 @@ def test_injection_stop_paths(monkeypatch, build, target, classification, cycles
     n = build()
     st = Stimulus(5, tuple({p: c % 2 for p in n.inputs} for c in range(5)), (0, 4), tuple(n.outputs))
     sim = Simulator(n)
-    checkpoints = fault_free_checkpoints(sim, st)
     ticks = []
     tick = sim.tick_lanes
 
@@ -258,10 +267,11 @@ def test_injection_stop_paths(monkeypatch, build, target, classification, cycles
         return tick(*args)
 
     monkeypatch.setattr(sim, "tick_lanes", counted)
-    monitors = set(sim.slots(st.monitors))
-    [(record, changed)] = run_group(sim, checkpoints, monitors, [FaultSpec(FaultKind.SEU, target, 1)])
+    result = run_specs(sim, st, [FaultSpec(FaultKind.SEU, target, 1)])
+    [record] = result.records
     assert record.classification is classification
-    assert changed == (target,)
+    failed = int(classification is Classification.FUNCTIONAL_FAILURE)
+    assert result.per_ff == {target: FFTally(0, 0, 1, failed)}
     assert len(ticks) == cycles
 
 
@@ -342,11 +352,14 @@ def test_run_specs_matches_full_replay(seed, kind, wide):
 
 def test_pool_never_starts_more_workers_than_injections(crc8, crc8_stimulus, monkeypatch):
     sizes = []
+    inits = []
     tasks = []
+    masks = []
 
     class SerialPool:
         def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            inits.append(initargs)
             initializer(*initargs)
 
         def __enter__(self):
@@ -358,7 +371,8 @@ def test_pool_never_starts_more_workers_than_injections(crc8, crc8_stimulus, mon
         def map(self, fn, items, chunksize=1):
             items = list(items)
             tasks.append(items)
-            return map(fn, items)
+            masks.append([fn(item) for item in items])
+            return iter(masks[-1])
 
     monkeypatch.setattr(campaign, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(campaign, "_worker_ctx", {})
@@ -374,15 +388,30 @@ def test_pool_never_starts_more_workers_than_injections(crc8, crc8_stimulus, mon
     pooled = run_specs(Simulator(crc8), crc8_stimulus, many, workers=64)
     assert sizes == [2]
     assert pooled == run_specs(Simulator(crc8), crc8_stimulus, many)
-    # a task is the whole group of one cycle's distinct injections
+    # a worker gets the kernel, the checkpoints and the monitor slots once;
+    # no spec or tree crosses
+    [(sim, checkpoints, monitors)] = inits
+    assert (type(sim), type(checkpoints), type(monitors)) == (Simulator, list, set)
+    # a task is one cycle's group, struck here: its cycle, the Q slots its
+    # upsets flipped with their lane values, and its lane count
     [groups] = tasks
-    assert [g for group in groups for g in group] == many
-    assert len({s.cycle for group in groups for s in group}) == len(groups)
-    assert all(len({s.cycle for s in group}) == 1 for group in groups)
+    assert [(cycle, lanes) for cycle, _, lanes in groups] == list(Counter(s.cycle for s in many).items())
+    for task in groups:
+        cycle, state, lanes = task
+        assert (type(task), type(cycle), type(state), type(lanes)) == (tuple, int, dict, int)
+        assert all(type(q) is int and type(bits) is int for q, bits in state.items())
+        assert len(state) == lanes
+    # and a worker returns only the group's failure mask
+    [returned] = masks
+    assert all(type(mask) is int and mask >> lanes == 0 for mask, (_, _, lanes) in zip(returned, groups))
+    assert sum(map(int.bit_count, returned)) == pooled.totals.failures
     monkeypatch.setattr(campaign, "POOL_MIN_PER_WORKER", 1)
     sizes.clear()
     assert run_specs(Simulator(crc8), crc8_stimulus, specs, workers=64) == serial
+    # a task is a whole group, so two cycles keep two workers busy and one
+    # cycle none
     assert sizes == [2]
+    run_specs(Simulator(crc8), crc8_stimulus, [FaultSpec(FaultKind.SEU, ff, 15) for ff in ffs[:3]], workers=64)
     # a single injection runs in this process
     run_specs(Simulator(crc8), crc8_stimulus, specs[:1], workers=64)
     assert sizes == [2]
